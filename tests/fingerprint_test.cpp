@@ -18,6 +18,8 @@
 #include "chaos/runner.hpp"
 #include "chaos/storm.hpp"
 #include "util/crc32.hpp"
+#include "vuln/profile.hpp"
+#include "vuln/profiler.hpp"
 
 namespace sccft {
 namespace {
@@ -79,6 +81,141 @@ TEST(Fingerprint, ChaosStormRun) {
   EXPECT_EQ(obs.consumed_seqs.size(), 199u);
   EXPECT_EQ(crc_fold(obs.consumed_seqs), 912480545u);
   EXPECT_EQ(crc_fold(obs.consumed_fingerprints), 1813323357u);
+}
+
+// --- N >= 3 payload-vote rig ---------------------------------------------
+// Captured while N >= 3 ran on its own channel classes: they are the
+// differential oracle for the single replicator/selector family at any N.
+
+/// Everything the N-replica pins compare, one struct per run.
+struct NStormPin {
+  std::uint64_t events = 0;
+  std::size_t consumed = 0;
+  std::uint32_t seq_crc = 0;
+  std::uint32_t fingerprint_crc = 0;
+  std::uint64_t vote_conflicts = 0;
+  std::uint64_t votes_outvoted = 0;
+  /// (replica, rule, detected_at) of every channel conviction, in order.
+  std::uint32_t detection_crc = 0;
+  std::size_t detections = 0;
+};
+
+NStormPin pin_n_storm(const chaos::StormPlan& plan) {
+  chaos::RunOptions options;
+  options.nreplica = 3;
+  const chaos::RunObservation obs = chaos::run_storm(plan, options);
+  EXPECT_FALSE(obs.contract_violation.has_value());
+  std::vector<std::int64_t> detections;
+  for (const auto& d : obs.n_detections) {
+    detections.push_back(static_cast<int>(d.replica));
+    detections.push_back(static_cast<int>(d.rule));
+    detections.push_back(d.detected_at);
+  }
+  return NStormPin{obs.events_processed,
+                   obs.consumed_seqs.size(),
+                   crc_fold(obs.consumed_seqs),
+                   crc_fold(obs.consumed_fingerprints),
+                   obs.vote_conflicts,
+                   obs.votes_outvoted,
+                   crc_fold(detections),
+                   obs.n_detections.size()};
+}
+
+chaos::StormPlan n_storm_plan(std::uint64_t seed) {
+  chaos::StormConfig config;
+  config.nreplica = 3;
+  config.allow_noc = false;
+  return chaos::StormGenerator(config).generate(seed);
+}
+
+void expect_pin(const NStormPin& got, const NStormPin& want) {
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.consumed, want.consumed);
+  EXPECT_EQ(got.seq_crc, want.seq_crc);
+  EXPECT_EQ(got.fingerprint_crc, want.fingerprint_crc);
+  EXPECT_EQ(got.vote_conflicts, want.vote_conflicts);
+  EXPECT_EQ(got.votes_outvoted, want.votes_outvoted);
+  EXPECT_EQ(got.detection_crc, want.detection_crc);
+  EXPECT_EQ(got.detections, want.detections);
+}
+
+TEST(Fingerprint, NReplicaStormRunSeed1) {
+  expect_pin(pin_n_storm(n_storm_plan(1)),
+             NStormPin{1456, 199, 912480545u, 1813323357u, 0, 0, 4009386918u, 2});
+}
+
+TEST(Fingerprint, NReplicaStormRunSeed2) {
+  expect_pin(pin_n_storm(n_storm_plan(2)),
+             NStormPin{1583, 199, 912480545u, 1813323357u, 0, 0, 1162143547u, 2});
+}
+
+TEST(Fingerprint, NReplicaStormRunSeed3) {
+  expect_pin(pin_n_storm(n_storm_plan(3)),
+             NStormPin{1503, 199, 912480545u, 1813323357u, 0, 0, 889649471u, 2});
+}
+
+TEST(Fingerprint, NReplicaPayloadCorruptionRun) {
+  // CRC-visible corruption of replica 2 plus a silent (re-stamped) corruption
+  // of replica 3: the CRC rule quarantines the first, the vote the second.
+  chaos::StormPlan plan;
+  plan.seed = 7;
+  plan.run_length = rtc::from_sec(2.0);
+  ft::FaultSpec visible;
+  visible.kind = ft::FaultKind::kPayloadCorruption;
+  visible.victim = 2;
+  visible.at = rtc::from_ms(300.0);
+  visible.duration = rtc::from_ms(600.0);
+  visible.corrupt_probability = 0.5;
+  visible.seed = 11;
+  plan.faults.push_back(visible);
+  ft::FaultSpec silent = visible;
+  silent.kind = ft::FaultKind::kSilentCorruption;
+  silent.victim = 3;
+  silent.at = rtc::from_ms(1100.0);
+  silent.seed = 12;
+  plan.faults.push_back(silent);
+  expect_pin(pin_n_storm(plan),
+             NStormPin{1691, 199, 912480545u, 924894064u, 31, 0, 579127039u, 1});
+}
+
+TEST(Fingerprint, NReplicaSilentCorruptionOutvotedRun) {
+  // A silent corruption while all three replicas are live: the majority
+  // out-votes the corrupted copy and convicts its replica.
+  chaos::StormPlan plan;
+  plan.seed = 9;
+  plan.run_length = rtc::from_sec(2.0);
+  ft::FaultSpec silent;
+  silent.kind = ft::FaultKind::kSilentCorruption;
+  silent.victim = 1;
+  silent.at = rtc::from_ms(300.0);
+  silent.duration = rtc::from_ms(600.0);
+  silent.corrupt_probability = 0.5;
+  silent.seed = 13;
+  plan.faults.push_back(silent);
+  expect_pin(pin_n_storm(plan),
+             NStormPin{1697, 199, 912480545u, 1813323357u, 0, 1, 684894933u, 1});
+}
+
+TEST(Fingerprint, VulnProfileVoteRig) {
+  vuln::Application app;
+  app.name = "pin";
+  vuln::ProcessSpec spec;
+  spec.name = "ledger";
+  spec.sensitivity_mask = 0xff;
+  spec.deadline_slack = rtc::from_ms(80.0);
+  spec.producer = rtc::PJD::from_ms(10, 1, 10);
+  spec.stage = rtc::PJD::from_ms(10, 2, 10);
+  spec.consumer = rtc::PJD::from_ms(10, 1, 10);
+  spec.seed = 0xC0FFEE;
+  app.processes.push_back(spec);
+  vuln::ProfilerOptions options;
+  options.trials_per_cell = 2;
+  options.protections = {3};
+  options.seed = 1;
+  const std::string text = vuln::to_text(vuln::profile_application(app, options));
+  EXPECT_EQ(util::crc32(std::span<const std::uint8_t>(
+                reinterpret_cast<const std::uint8_t*>(text.data()), text.size())),
+            271437160u);
 }
 
 }  // namespace
