@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "ft/nreplica.hpp"
+#include "ft/replicator.hpp"
+#include "ft/selector.hpp"
 #include "kpn/network.hpp"
 #include "kpn/timing.hpp"
 #include "util/stats.hpp"
@@ -48,12 +50,14 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
   }
   const auto sizing = ft::analyze_n_replica_network(model, rtc::from_sec(3.0));
 
-  auto& replicator = net.adopt_channel(std::make_unique<ft::NReplicatorChannel>(
-      simulator, "replicator", sizing.replicator_capacity));
-  auto& selector = net.adopt_channel(std::make_unique<ft::NSelectorChannel>(
+  auto& replicator = net.adopt_channel(std::make_unique<ft::ReplicatorChannel>(
+      simulator, "replicator",
+      ft::ReplicatorChannel::Config{.capacities = sizing.replicator_capacity}));
+  auto& selector = net.adopt_channel(std::make_unique<ft::SelectorChannel>(
       simulator, "selector",
-      ft::NSelectorChannel::Config{sizing.selector_capacity, sizing.selector_initial,
-                                   sizing.divergence_threshold, true}));
+      ft::SelectorChannel::Config{.capacities = sizing.selector_capacity,
+                                  .initials = sizing.selector_initial,
+                                  .divergence_threshold = sizing.divergence_threshold}));
 
   NRunResult result;
   // Shared cost model (cores, MPB bytes, NoC links); the token payload here
@@ -61,14 +65,20 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
   result.cost = ft::replication_cost(sizing, /*token_bytes=*/8);
 
   std::vector<rtc::TimeNs> fault_times;
-  std::vector<std::optional<rtc::TimeNs>> first_detection(
-      static_cast<std::size_t>(n), std::nullopt);
-  auto observer = [&](const ft::NDetectionRecord& r) {
-    auto& slot = first_detection[static_cast<std::size_t>(r.replica)];
-    if (!slot) slot = r.detected_at;
-  };
-  replicator.set_fault_observer(observer);
-  selector.set_fault_observer(observer);
+  // First verdict per replica, from either channel's kDetection events.
+  struct FirstDetections final : trace::Sink {
+    std::vector<std::optional<rtc::TimeNs>> at;
+    trace::SubjectId replicator = 0, selector = 0;
+    void on_event(const trace::Event& event) override {
+      if (event.subject != replicator && event.subject != selector) return;
+      auto& slot = at[static_cast<std::size_t>(event.a)];
+      if (!slot) slot = event.time;
+    }
+  } first;
+  first.at.resize(static_cast<std::size_t>(n));
+  first.replicator = replicator.trace_subject();
+  first.selector = selector.trace_subject();
+  simulator.trace().subscribe(&first, trace::bit(trace::EventKind::kDetection));
 
   net.add_process("producer", scc::CoreId{0}, seed + 1,
                   [&](kpn::ProcessContext& ctx) -> sim::Task {
@@ -92,12 +102,13 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
           kpn::TimingShaper emit(pjd, 0, ctx.rng());
           while (true) {
             SCCFT_FAULT_GATE(ctx);
-            kpn::Token token = co_await kpn::read(replicator.read_interface(r));
+            const auto which = static_cast<ft::ReplicaIndex>(r);
+            kpn::Token token = co_await kpn::read(replicator.read_interface(which));
             SCCFT_FAULT_GATE(ctx);
             const rtc::TimeNs t = emit.next_emission(ctx.now());
             if (t > ctx.now()) co_await ctx.compute(t - ctx.now());
             SCCFT_FAULT_GATE(ctx);
-            co_await kpn::write(selector.write_interface(r), token);
+            co_await kpn::write(selector.write_interface(which), token);
             emit.commit(ctx.now());
           }
         }));
@@ -124,19 +135,19 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
     fault_times.push_back(at);
     simulator.schedule_at(at, [&, r] {
       replicas[static_cast<std::size_t>(r)]->context().fault().silenced = true;
-      replicator.freeze_reader(r);
-      selector.freeze_writer(r);
+      replicator.freeze_reader(static_cast<ft::ReplicaIndex>(r));
+      selector.freeze_writer(static_cast<ft::ReplicaIndex>(r));
     });
   }
 
   net.run_until(rtc::from_ms(400.0 + 500.0 * n));
   net.rethrow_failures();
+  simulator.trace().unsubscribe(&first);
 
   for (int r = 0; r + 1 < n; ++r) {
-    if (first_detection[static_cast<std::size_t>(r)]) {
+    if (const auto& at = first.at[static_cast<std::size_t>(r)]) {
       ++result.detections;
-      result.latencies_ms.add(rtc::to_ms(*first_detection[static_cast<std::size_t>(r)] -
-                                         fault_times[static_cast<std::size_t>(r)]));
+      result.latencies_ms.add(rtc::to_ms(*at - fault_times[static_cast<std::size_t>(r)]));
     }
   }
   return result;

@@ -179,13 +179,10 @@ RunOutcome run_once(const Scenario& scenario, std::uint64_t seed) {
   ft::FaultCampaign::Wiring wiring;
   wiring.replicator = &harness.replicator();
   wiring.selector = &harness.selector();
-  wiring.processes[0] = {replicas[0]};
-  wiring.processes[1] = {replicas[1]};
+  wiring.processes = {{replicas[0]}, {replicas[1]}};
   if (with_noc) wiring.noc = &platform->noc();
+  // The supervisor timestamps injections from its own bus subscription.
   ft::FaultCampaign campaign(simulator, wiring);
-  campaign.set_injection_listener([&](const ft::FaultInjectionRecord& rec) {
-    supervisor.note_fault_injected(rec.replica, rec.at);
-  });
 
   ft::FaultSpec spec;
   spec.kind = scenario.kind;

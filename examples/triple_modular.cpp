@@ -1,12 +1,14 @@
 // Example: the paper's n-fault generalization in action — three replicas
 // tolerating TWO sequential permanent timing faults.
 //
-// Builds a 3-replica pipeline with the N-replica channels (ft/nreplica.hpp),
-// kills replica 0 at t = 400 ms and replica 1 at t = 900 ms, and shows the
-// consumer's stream surviving both failovers without a gap.
+// Builds a 3-replica pipeline (the replicator/selector channels at N = 3,
+// dimensioned by ft/nreplica.hpp), kills replica 0 at t = 400 ms and replica
+// 1 at t = 900 ms, and shows the consumer's stream surviving both failovers
+// without a gap.
 #include <iostream>
 #include <vector>
 
+#include "ft/framework.hpp"
 #include "ft/nreplica.hpp"
 #include "kpn/network.hpp"
 #include "kpn/timing.hpp"
@@ -42,17 +44,17 @@ int main() {
   for (auto c : sizing.selector_capacity) std::cout << " " << c;
   std::cout << " }, D = " << sizing.divergence_threshold << "\n";
 
-  auto& replicator = net.adopt_channel(std::make_unique<ft::NReplicatorChannel>(
-      simulator, "tmr.replicator", sizing.replicator_capacity));
-  auto& selector = net.adopt_channel(std::make_unique<ft::NSelectorChannel>(
+  auto& replicator = net.adopt_channel(std::make_unique<ft::ReplicatorChannel>(
+      simulator, "tmr.replicator",
+      ft::ReplicatorChannel::Config{.capacities = sizing.replicator_capacity}));
+  auto& selector = net.adopt_channel(std::make_unique<ft::SelectorChannel>(
       simulator, "tmr.selector",
-      ft::NSelectorChannel::Config{sizing.selector_capacity, sizing.selector_initial,
-                                   sizing.divergence_threshold, true}));
+      ft::SelectorChannel::Config{.capacities = sizing.selector_capacity,
+                                  .initials = sizing.selector_initial,
+                                  .divergence_threshold = sizing.divergence_threshold}));
 
-  std::vector<ft::NDetectionRecord> detections;
-  auto observer = [&](const ft::NDetectionRecord& r) { detections.push_back(r); };
-  replicator.set_fault_observer(observer);
-  selector.set_fault_observer(observer);
+  // Both channels publish their verdicts on the trace bus.
+  const ft::DetectionLogSink detections(simulator.trace(), replicator, selector);
 
   net.add_process("producer", scc::CoreId{0}, 1,
                   [&](kpn::ProcessContext& ctx) -> sim::Task {
@@ -75,15 +77,16 @@ int main() {
         [&, r, pjd = replica_models[static_cast<std::size_t>(r)]](
             kpn::ProcessContext& ctx) -> sim::Task {
           kpn::TimingShaper emit(pjd, 0, ctx.rng());
+          const auto which = static_cast<ft::ReplicaIndex>(r);
           while (true) {
             SCCFT_FAULT_GATE(ctx);
-            kpn::Token token = co_await kpn::read(replicator.read_interface(r));
+            kpn::Token token = co_await kpn::read(replicator.read_interface(which));
             SCCFT_FAULT_GATE(ctx);
             co_await ctx.compute(rtc::from_us(300));
             const rtc::TimeNs t = emit.next_emission(ctx.now());
             if (t > ctx.now()) co_await ctx.compute(t - ctx.now());
             SCCFT_FAULT_GATE(ctx);
-            co_await kpn::write(selector.write_interface(r),
+            co_await kpn::write(selector.write_interface(which),
                                 token.restamped(token.seq(), ctx.now()));
             emit.commit(ctx.now());
           }
@@ -111,8 +114,8 @@ int main() {
   auto kill = [&](int r, rtc::TimeNs at) {
     simulator.schedule_at(at, [&, r] {
       replicas[static_cast<std::size_t>(r)]->context().fault().silenced = true;
-      replicator.freeze_reader(r);
-      selector.freeze_writer(r);
+      replicator.freeze_reader(static_cast<ft::ReplicaIndex>(r));
+      selector.freeze_writer(static_cast<ft::ReplicaIndex>(r));
     });
   };
   kill(0, rtc::from_ms(400.0));
@@ -121,8 +124,8 @@ int main() {
   net.run_until(rtc::from_sec(2.0));
 
   std::cout << "Faults injected at 400 ms (replica 0) and 900 ms (replica 1).\n";
-  for (const auto& d : detections) {
-    std::cout << "Detected replica " << d.replica << " via " << to_string(d.rule)
+  for (const auto& d : detections.log().records) {
+    std::cout << "Detected replica " << ft::index_of(d.replica) << " via " << to_string(d.rule)
               << " at " << rtc::to_ms(d.detected_at) << " ms\n";
   }
   std::cout << "Consumer received " << received << " tokens, in order, "
@@ -130,7 +133,7 @@ int main() {
             << selector.healthy_count() << "\n";
 
   const bool ok = !gap && received > 180 && selector.healthy_count() == 1 &&
-                  detections.size() >= 2;
+                  detections.log().records.size() >= 2;
   std::cout << (ok ? "SUCCESS" : "FAILURE")
             << ": two sequential timing faults tolerated with three replicas.\n";
   return ok ? 0 : 1;

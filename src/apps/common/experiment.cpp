@@ -264,10 +264,10 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
         simulator, simulator.trace(), harness->replicator(), harness->selector(),
         adapt::ReconfigurationController::Config{
             .quiesce_window = options.adaptation.quiesce_window});
-    const rtc::NetworkTimingModel design_model = app_.timing.to_model();
+    const rtc::NetworkTimingModel design_curves = app_.timing.to_model();
     const rtc::SizingReport designed = result.sizing;
     adapt::MeasureFn measure =
-        [&monitor = *online_monitor, design_model, designed](rtc::TimeNs now)
+        [&monitor = *online_monitor, design_curves, designed](rtc::TimeNs now)
         -> std::optional<rtc::online::OnlineMargins> {
       // No bound is certifiable until every stream has been witnessed.
       for (std::size_t s = 0; s < 3; ++s) {
@@ -276,7 +276,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
       return rtc::online::redimension(monitor.snapshot_stream(0, now),
                                       monitor.snapshot_stream(1, now),
                                       monitor.snapshot_stream(2, now),
-                                      design_model, designed);
+                                      design_curves, designed);
     };
     adaptation_policy.emplace(simulator, simulator.trace(), *reconfigurator,
                               options.adaptation, std::move(measure));
@@ -327,7 +327,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
   // Replica builder: constructs the stages of one replica.
   std::vector<kpn::Process*> replica_processes[2];
   auto build_replica = [&](int r_index, const std::string& prefix,
-                           const rtc::PJD& in_model, const rtc::PJD& out_model,
+                           const rtc::PJD& in_pjd, const rtc::PJD& out_pjd,
                            kpn::TokenSource* in, kpn::TokenSink* out) {
     std::vector<kpn::Process*>& procs = replica_processes[r_index];
     const std::uint64_t rs = seed_base + 100 * static_cast<std::uint64_t>(r_index + 1);
@@ -341,10 +341,10 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
       case ReplicaTopology::kSingleStage: {
         procs.push_back(&net.add_process(
             prefix + "." + stage_names[0], core_of(prefix + "." + stage_names[0]), rs + 1,
-            [this, in, out, in_model, out_model, compute, &simulator, out_subject,
+            [this, in, out, in_pjd, out_pjd, compute, &simulator, out_subject,
              drift](kpn::ProcessContext& ctx) -> sim::Task {
-              kpn::TimingShaper consume(in_model, 0, ctx.rng());
-              kpn::TimingShaper emit(out_model, 0, ctx.rng());
+              kpn::TimingShaper consume(in_pjd, 0, ctx.rng());
+              kpn::TimingShaper emit(out_pjd, 0, ctx.rng());
               emit.bind_trace(&simulator.trace(), out_subject);
               rtc::TimeNs last_emit = -1;
               while (true) {
@@ -364,9 +364,9 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
                   target = std::max(
                       target, last_emit + static_cast<rtc::TimeNs>(
                                               ctx.fault().rate_factor *
-                                              static_cast<double>(out_model.period)));
+                                              static_cast<double>(out_pjd.period)));
                 }
-                drift.apply(target, last_emit, out_model.period, ctx.rng());
+                drift.apply(target, last_emit, out_pjd.period, ctx.rng());
                 if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
                 SCCFT_FAULT_GATE(ctx);
                 co_await kpn::write(*out, kpn::Token(bytes, token.seq(), ctx.now()));
@@ -381,8 +381,8 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
                                  link(prefix + ".enc", prefix + ".dec"));
         procs.push_back(&net.add_process(
             prefix + ".enc", core_of(prefix + ".enc"), rs + 1,
-            [this, in, &mid, in_model, compute](kpn::ProcessContext& ctx) -> sim::Task {
-              kpn::TimingShaper consume(in_model, 0, ctx.rng());
+            [this, in, &mid, in_pjd, compute](kpn::ProcessContext& ctx) -> sim::Task {
+              kpn::TimingShaper consume(in_pjd, 0, ctx.rng());
               while (true) {
                 SCCFT_FAULT_GATE(ctx);
                 const rtc::TimeNs slot = consume.next_emission(ctx.now());
@@ -397,9 +397,9 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
             }));
         procs.push_back(&net.add_process(
             prefix + ".dec", core_of(prefix + ".dec"), rs + 2,
-            [this, &mid, out, out_model, compute, &simulator, out_subject,
+            [this, &mid, out, out_pjd, compute, &simulator, out_subject,
              drift](kpn::ProcessContext& ctx) -> sim::Task {
-              kpn::TimingShaper emit(out_model, 0, ctx.rng());
+              kpn::TimingShaper emit(out_pjd, 0, ctx.rng());
               emit.bind_trace(&simulator.trace(), out_subject);
               rtc::TimeNs last_emit = -1;
               while (true) {
@@ -416,9 +416,9 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
                   target = std::max(
                       target, last_emit + static_cast<rtc::TimeNs>(
                                               ctx.fault().rate_factor *
-                                              static_cast<double>(out_model.period)));
+                                              static_cast<double>(out_pjd.period)));
                 }
-                drift.apply(target, last_emit, out_model.period, ctx.rng());
+                drift.apply(target, last_emit, out_pjd.period, ctx.rng());
                 if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
                 SCCFT_FAULT_GATE(ctx);
                 co_await kpn::write(*out, kpn::Token(bytes, token.seq(), ctx.now()));
@@ -439,8 +439,8 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
                                     link(prefix + ".dec_b", prefix + ".merge"));
         procs.push_back(&net.add_process(
             prefix + ".split", core_of(prefix + ".split"), rs + 1,
-            [this, in, &to_a, &to_b, in_model](kpn::ProcessContext& ctx) -> sim::Task {
-              kpn::TimingShaper consume(in_model, 0, ctx.rng());
+            [this, in, &to_a, &to_b, in_pjd](kpn::ProcessContext& ctx) -> sim::Task {
+              kpn::TimingShaper consume(in_pjd, 0, ctx.rng());
               const auto top_fn = [this](BytesView input) { return app_.split(input).first; };
               const auto bottom_fn = [this](BytesView input) {
                 return app_.split(input).second;
@@ -478,9 +478,9 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
                                          rs + 3, part_body(to_b, from_b)));
         procs.push_back(&net.add_process(
             prefix + ".merge", core_of(prefix + ".merge"), rs + 4,
-            [this, &from_a, &from_b, out, out_model, &simulator, out_subject,
+            [this, &from_a, &from_b, out, out_pjd, &simulator, out_subject,
              drift](kpn::ProcessContext& ctx) -> sim::Task {
-              kpn::TimingShaper emit(out_model, 0, ctx.rng());
+              kpn::TimingShaper emit(out_pjd, 0, ctx.rng());
               emit.bind_trace(&simulator.trace(), out_subject);
               rtc::TimeNs last_emit = -1;
               while (true) {
@@ -510,9 +510,9 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
                   target = std::max(
                       target, last_emit + static_cast<rtc::TimeNs>(
                                               ctx.fault().rate_factor *
-                                              static_cast<double>(out_model.period)));
+                                              static_cast<double>(out_pjd.period)));
                 }
-                drift.apply(target, last_emit, out_model.period, ctx.rng());
+                drift.apply(target, last_emit, out_pjd.period, ctx.rng());
                 if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
                 SCCFT_FAULT_GATE(ctx);
                 co_await kpn::write(*out, kpn::Token(merged, top.seq(), ctx.now()));

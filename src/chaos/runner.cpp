@@ -36,6 +36,18 @@ struct HeartbeatMonitor final : trace::Sink {
   }
 };
 
+/// Timestamps every activation of one fault campaign on the supervisor —
+/// including while the supervisor is hung, when its own bus subscription
+/// swallows the kInjection events.
+struct InjectionTimestamper final : trace::Sink {
+  ft::Supervisor* supervisor = nullptr;
+  trace::SubjectId campaign = 0;
+  void on_event(const trace::Event& event) override {
+    if (event.subject != campaign) return;
+    supervisor->note_fault_injected(static_cast<ft::ReplicaIndex>(event.b), event.time);
+  }
+};
+
 /// A replica task loop's handle onto its per-tile watchdog channel; null
 /// until the control-plane rig wires one up.
 struct WatchdogHook {
@@ -83,8 +95,8 @@ std::string RunObservation::render_flight_csv() const {
 namespace {
 
 /// The N-replica soak rig (RunOptions::nreplica >= 3): producer ->
-/// NReplicatorChannel -> N replicas -> NSelectorChannel (payload vote + CRC
-/// verify) -> consumer. Deliberately unsupervised: no restart path exists, so
+/// replicator -> N replicas -> selector (payload vote + CRC verify) ->
+/// consumer. Deliberately unsupervised: no restart path exists, so
 /// every verdict the observation carries was reached by the channels' own
 /// rules (a)/(b)/(c)/vote — the property the N-oracles then check against
 /// the injection log.
@@ -142,7 +154,8 @@ RunObservation run_storm_n(const StormPlan& plan, const RunOptions& options) {
                   });
 
   auto replica_body = [&](int which, rtc::PJD model) {
-    return [&harness, which, model](kpn::ProcessContext& ctx) -> sim::Task {
+    return [&harness, which = static_cast<ft::ReplicaIndex>(which),
+            model](kpn::ProcessContext& ctx) -> sim::Task {
       kpn::TimingShaper emit(model, ctx.now(), ctx.rng());
       rtc::TimeNs last_emit = -1;
       while (true) {
@@ -191,9 +204,9 @@ RunObservation run_storm_n(const StormPlan& plan, const RunOptions& options) {
       });
 
   ft::FaultCampaign::Wiring wiring;
-  wiring.nreplicator = &harness.replicator();
-  wiring.nselector = &harness.selector();
-  wiring.nprocesses = replica_groups;
+  wiring.replicator = &harness.replicator();
+  wiring.selector = &harness.selector();
+  wiring.processes = replica_groups;
   ft::FaultCampaign campaign(simulator, wiring);
   for (const ft::FaultSpec& spec : plan.faults) campaign.add(spec);
   campaign.arm();
@@ -206,7 +219,7 @@ RunObservation run_storm_n(const StormPlan& plan, const RunOptions& options) {
 
   simulator.trace().flush();
   obs.injections = campaign.injections();
-  obs.n_detections = harness.detections();
+  obs.n_detections = harness.detections().records;
   obs.vote_conflicts = harness.selector().vote_conflicts();
   obs.votes_outvoted = harness.selector().votes_outvoted();
   obs.events_processed = simulator.events_processed();
@@ -452,8 +465,7 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   ft::FaultCampaign::Wiring wiring;
   wiring.replicator = &harness.replicator();
   wiring.selector = &harness.selector();
-  wiring.processes[0] = {replicas[0]};
-  wiring.processes[1] = {replicas[1]};
+  wiring.processes = {{replicas[0]}, {replicas[1]}};
   if (with_noc) wiring.noc = &platform->noc();
   // Control-plane targets are wired unconditionally: a storm may attack the
   // protection machinery whether or not the defenses are armed — that
@@ -464,9 +476,10 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   if (reconfigurator) wiring.scrubbables.push_back(&*reconfigurator);
   wiring.flight_ring = &ring;
   ft::FaultCampaign campaign(simulator, wiring);
-  campaign.set_injection_listener([&](const ft::FaultInjectionRecord& rec) {
-    supervisor.note_fault_injected(rec.replica, rec.at);
-  });
+  InjectionTimestamper timestamper;
+  timestamper.supervisor = &supervisor;
+  timestamper.campaign = campaign.trace_subject();
+  simulator.trace().subscribe(&timestamper, trace::bit(trace::EventKind::kInjection));
   for (const ft::FaultSpec& spec : plan.faults) campaign.add(spec);
   campaign.arm();
 
@@ -516,6 +529,7 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   simulator.trace().unsubscribe(&counters);
   simulator.trace().unsubscribe(&restart_counter);
   simulator.trace().unsubscribe(&heartbeat_monitor);
+  simulator.trace().unsubscribe(&timestamper);
   return obs;
 }
 

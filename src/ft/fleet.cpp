@@ -258,7 +258,7 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
 
     if (s.protection >= 3) {
       // Unsupervised N-replica payload-vote rig: conviction and masking are
-      // the selector's job (ft/nreplica), no Supervisor attached. The vote
+      // the selector's job (vote mode), no Supervisor attached. The vote
       // channels model no NoC links — mesh accounting for these streams is
       // placement-only.
       NReplicaHarness::Config config;
@@ -297,7 +297,8 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
             placement.process_to_core[process_cursor + 1 +
                                       static_cast<std::size_t>(r)],
             s.seed * 10 + 2 + static_cast<std::uint64_t>(r),
-            [harness, s, r](kpn::ProcessContext& ctx) -> sim::Task {
+            [harness, s, r = static_cast<ReplicaIndex>(r)](
+                kpn::ProcessContext& ctx) -> sim::Task {
               kpn::TimingShaper emit(s.stage, ctx.now(), ctx.rng());
               while (true) {
                 SCCFT_FAULT_GATE(ctx);
@@ -335,9 +336,9 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
 
       if (options.inject_faults) {
         FaultCampaign::Wiring wiring;
-        wiring.nreplicator = &harness->replicator();
-        wiring.nselector = &harness->selector();
-        wiring.nprocesses = std::move(replica_processes);
+        wiring.replicator = &harness->replicator();
+        wiring.selector = &harness->selector();
+        wiring.processes = std::move(replica_processes);
         campaigns[i] = std::make_unique<FaultCampaign>(simulator, wiring,
                                                        tag + ".faults");
         FaultSpec fault;
@@ -440,8 +441,7 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
         FaultCampaign::Wiring wiring;
         wiring.replicator = &harness->replicator();
         wiring.selector = &harness->selector();
-        wiring.processes[0] = {r1};
-        wiring.processes[1] = {r2};
+        wiring.processes = {{r1}, {r2}};
         campaigns[i] = std::make_unique<FaultCampaign>(simulator, wiring,
                                                        tag + ".faults");
         FaultSpec fault;
@@ -571,8 +571,8 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
       const NSizingReport& sizing = harness->sizing();
       outcome.detection_bound = std::min(sizing.replicator_overflow_bound,
                                          sizing.selector_latency_bound);
-      for (const NDetectionRecord& record : harness->detections()) {
-        if (record.replica == 0) {
+      for (const DetectionRecord& record : harness->detections().records) {
+        if (record.replica == ReplicaIndex::kReplica1) {
           outcome.detected = true;
           if (!outcome.detection_latency) {
             outcome.detection_latency = record.detected_at - options.fault_at;

@@ -7,7 +7,7 @@
 // like the paper's network, the rest plain producer/worker/consumer pipelines
 // — or, with FleetSpec::protection set, a mixed-protection fleet where each
 // stream independently runs at N = 1 (plain pipeline), N = 2 (supervised
-// pair) or N >= 3 (unsupervised payload-vote rig from ft/nreplica) —
+// pair) or N >= 3 (unsupervised payload-vote rig, selector vote mode) —
 // with per-stream PJD envelopes materialized deterministically from the
 // fleet seed. Placement goes through scc/placement.hpp (multiple processes
 // per core, replica anti-affinity, MPB accounting), all streams share one

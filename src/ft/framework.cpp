@@ -56,6 +56,24 @@ std::optional<DetectionRecord> DetectionLog::first_selector() const {
   return std::nullopt;
 }
 
+DetectionLogSink::DetectionLogSink(trace::TraceBus& bus,
+                                   const ReplicatorChannel& replicator,
+                                   const SelectorChannel& selector)
+    : bus_(bus),
+      replicator_(replicator.trace_subject()),
+      selector_(selector.trace_subject()) {
+  bus_.subscribe(this, trace::bit(trace::EventKind::kDetection));
+}
+
+DetectionLogSink::~DetectionLogSink() { bus_.unsubscribe(this); }
+
+void DetectionLogSink::on_event(const trace::Event& event) {
+  if (event.subject != replicator_ && event.subject != selector_) return;
+  log_.records.push_back(DetectionRecord{static_cast<ReplicaIndex>(event.a),
+                                         static_cast<DetectionRule>(event.b),
+                                         event.time});
+}
+
 FaultTolerantHarness::FaultTolerantHarness(kpn::Network& network, Config config)
     : injector_(network.simulator()) {
   // The overrides use 0 as "unset"; a negative value is neither unset nor a
@@ -84,42 +102,35 @@ FaultTolerantHarness::FaultTolerantHarness(kpn::Network& network, Config config)
     return kpn::FifoChannel::LinkModel{&config.platform->noc(), src, dst};
   };
 
+  const rtc::Tokens capacity_override = config.replicator_capacity_override;
   ReplicatorChannel::Config replicator_config{
-      .capacity1 = config.replicator_capacity_override > 0
-                       ? config.replicator_capacity_override
-                       : sizing_.replicator_capacity1,
-      .capacity2 = config.replicator_capacity_override > 0
-                       ? config.replicator_capacity_override
-                       : sizing_.replicator_capacity2,
-      .link1 = link(config.producer_core, config.replica1_in_core),
-      .link2 = link(config.producer_core, config.replica2_in_core)};
+      .capacities = {capacity_override > 0 ? capacity_override
+                                           : sizing_.replicator_capacity1,
+                     capacity_override > 0 ? capacity_override
+                                           : sizing_.replicator_capacity2},
+      .links = {link(config.producer_core, config.replica1_in_core),
+                link(config.producer_core, config.replica2_in_core)}};
   replicator_ = &network.adopt_channel(std::make_unique<ReplicatorChannel>(
       network.simulator(), config.name_prefix + ".replicator", replicator_config));
 
   SelectorChannel::Config selector_config{
-      .capacity1 = sizing_.selector_capacity1,
-      .capacity2 = sizing_.selector_capacity2,
-      .initial1 = sizing_.selector_initial1,
-      .initial2 = sizing_.selector_initial2,
+      .capacities = {sizing_.selector_capacity1, sizing_.selector_capacity2},
+      .initials = {sizing_.selector_initial1, sizing_.selector_initial2},
       .divergence_threshold = config.divergence_threshold_override > 0
                                   ? config.divergence_threshold_override
                                   : sizing_.selector_threshold,
       .enable_stall_rule = config.enable_selector_stall_rule,
       .verify_checksums = config.verify_selector_checksums,
       .corruption_conviction_threshold = config.corruption_conviction_threshold,
-      .link1 = link(config.replica1_out_core, config.consumer_core),
-      .link2 = link(config.replica2_out_core, config.consumer_core)};
+      .links = {link(config.replica1_out_core, config.consumer_core),
+                link(config.replica2_out_core, config.consumer_core)}};
   selector_ = &network.adopt_channel(std::make_unique<SelectorChannel>(
       network.simulator(), config.name_prefix + ".selector", selector_config));
   if (config.preload_initial_tokens) {
     selector_->preload_initial_tokens(config.initial_token);
   }
 
-  auto observer = [this](const DetectionRecord& record) {
-    log_.records.push_back(record);
-  };
-  replicator_->add_fault_observer(observer);
-  selector_->add_fault_observer(observer);
+  detections_.emplace(network.simulator().trace(), *replicator_, *selector_);
 }
 
 rtc::TimeNs NReplicaHarness::Config::default_horizon() const {
@@ -156,11 +167,11 @@ NReplicaHarness::NReplicaHarness(kpn::Network& network, Config config) {
   }
   sizing_ = analyze_n_replica_network(model, config.default_horizon());
 
-  replicator_ = &network.adopt_channel(std::make_unique<NReplicatorChannel>(
+  replicator_ = &network.adopt_channel(std::make_unique<ReplicatorChannel>(
       network.simulator(), config.name_prefix + ".replicator",
-      sizing_.replicator_capacity));
+      ReplicatorChannel::Config{.capacities = sizing_.replicator_capacity}));
 
-  NSelectorChannel::Config selector_config;
+  SelectorChannel::Config selector_config;
   selector_config.capacities = sizing_.selector_capacity;
   selector_config.initials = sizing_.selector_initial;
   selector_config.divergence_threshold = sizing_.divergence_threshold;
@@ -171,7 +182,7 @@ NReplicaHarness::NReplicaHarness(kpn::Network& network, Config config) {
   selector_config.enable_payload_vote = config.enable_payload_vote;
   if (config.enable_payload_vote) {
     // Vote mode requires every side's usable space (capacity - initial) to
-    // exceed D (see NSelectorChannel): while a group is blocked on a silent
+    // exceed D (see SelectorChannel): while a group is blocked on a silent
     // peer, the consumer drains nothing, so a healthy leader must be able to
     // write its way to the rule (b) verdict on space alone. Grow the FIFOs,
     // never weaken the threshold.
@@ -181,31 +192,26 @@ NReplicaHarness::NReplicaHarness(kpn::Network& network, Config config) {
                    selector_config.initials[i] + sizing_.divergence_threshold + 1);
     }
   }
-  selector_ = &network.adopt_channel(std::make_unique<NSelectorChannel>(
+  selector_ = &network.adopt_channel(std::make_unique<SelectorChannel>(
       network.simulator(), config.name_prefix + ".selector",
       std::move(selector_config)));
-
-  auto observer = [this](const NDetectionRecord& record) {
-    detections_.push_back(record);
-  };
-  replicator_->set_fault_observer(observer);
-  selector_->set_fault_observer(observer);
+  detections_.emplace(network.simulator().trace(), *replicator_, *selector_);
 }
 
 std::optional<rtc::TimeNs> FaultTolerantHarness::first_detection_latency() const {
-  const auto record = log_.first();
+  const auto record = detections().first();
   if (!record || injector_.injected_at() < 0) return std::nullopt;
   return record->detected_at - injector_.injected_at();
 }
 
 std::optional<rtc::TimeNs> FaultTolerantHarness::replicator_detection_latency() const {
-  const auto record = log_.first_replicator();
+  const auto record = detections().first_replicator();
   if (!record || injector_.injected_at() < 0) return std::nullopt;
   return record->detected_at - injector_.injected_at();
 }
 
 std::optional<rtc::TimeNs> FaultTolerantHarness::selector_detection_latency() const {
-  const auto record = log_.first_selector();
+  const auto record = detections().first_selector();
   if (!record || injector_.injected_at() < 0) return std::nullopt;
   return record->detected_at - injector_.injected_at();
 }

@@ -22,6 +22,7 @@
 #include "rtc/pjd.hpp"
 #include "rtc/sizing.hpp"
 #include "scc/platform.hpp"
+#include "trace/bus.hpp"
 
 namespace sccft::ft {
 
@@ -50,6 +51,29 @@ struct DetectionLog {
   [[nodiscard]] std::optional<DetectionRecord> first() const;
   [[nodiscard]] std::optional<DetectionRecord> first_replicator() const;
   [[nodiscard]] std::optional<DetectionRecord> first_selector() const;
+};
+
+/// The harnesses' single bus subscription: appends every kDetection verdict
+/// of one replicator/selector pair to a DetectionLog, synchronously and in
+/// emission order. Subscribed right after the pair is built, so the log is
+/// complete before a later subscriber (a Supervisor) acts on the verdict.
+class DetectionLogSink final : public trace::Sink {
+ public:
+  DetectionLogSink(trace::TraceBus& bus, const ReplicatorChannel& replicator,
+                   const SelectorChannel& selector);
+  ~DetectionLogSink() override;
+
+  DetectionLogSink(const DetectionLogSink&) = delete;
+  DetectionLogSink& operator=(const DetectionLogSink&) = delete;
+
+  [[nodiscard]] const DetectionLog& log() const { return log_; }
+  void on_event(const trace::Event& event) override;
+
+ private:
+  trace::TraceBus& bus_;
+  trace::SubjectId replicator_;
+  trace::SubjectId selector_;
+  DetectionLog log_;
 };
 
 /// Builds the dimensioned replicator + selector pair inside a network and
@@ -93,7 +117,7 @@ class FaultTolerantHarness final {
   [[nodiscard]] const rtc::SizingReport& sizing() const { return sizing_; }
   [[nodiscard]] ReplicatorChannel& replicator() { return *replicator_; }
   [[nodiscard]] SelectorChannel& selector() { return *selector_; }
-  [[nodiscard]] const DetectionLog& detections() const { return log_; }
+  [[nodiscard]] const DetectionLog& detections() const { return detections_->log(); }
   [[nodiscard]] FaultInjector& injector() { return injector_; }
 
   /// Latency of the first detection relative to the injected fault, if both
@@ -106,12 +130,12 @@ class FaultTolerantHarness final {
   rtc::SizingReport sizing_;
   ReplicatorChannel* replicator_ = nullptr;
   SelectorChannel* selector_ = nullptr;
-  DetectionLog log_;
+  std::optional<DetectionLogSink> detections_;
   FaultInjector injector_;
 };
 
 /// N-replica facade: per-replica timing models in, a correctly-dimensioned
-/// NReplicatorChannel + NSelectorChannel pair out (the per-replica Eq. (3)-(5)
+/// replicator + selector pair of width N out (the per-replica Eq. (3)-(5)
 /// application of nreplica.hpp), with the channels' detections aggregated
 /// chronologically. The N-ary sibling of FaultTolerantHarness; used by the
 /// chaos soak's --nreplica rig, the fleet's mixed-protection streams, and the
@@ -128,7 +152,7 @@ class NReplicaHarness final {
     /// Detection rule (c): CRC-verify arrivals at the selector.
     bool verify_checksums = true;
     int corruption_conviction_threshold = 3;
-    /// Majority-vote delivery (see NSelectorChannel::Config): N >= 3 masks a
+    /// Majority-vote delivery (see SelectorChannel::Config): N >= 3 masks a
     /// single silently-corrupted replica; N = 2 detects the conflict only.
     bool enable_payload_vote = false;
 
@@ -140,18 +164,16 @@ class NReplicaHarness final {
 
   [[nodiscard]] int replica_count() const { return replicator_->replica_count(); }
   [[nodiscard]] const NSizingReport& sizing() const { return sizing_; }
-  [[nodiscard]] NReplicatorChannel& replicator() { return *replicator_; }
-  [[nodiscard]] NSelectorChannel& selector() { return *selector_; }
+  [[nodiscard]] ReplicatorChannel& replicator() { return *replicator_; }
+  [[nodiscard]] SelectorChannel& selector() { return *selector_; }
   /// Channel detections (both channels), in conviction order.
-  [[nodiscard]] const std::vector<NDetectionRecord>& detections() const {
-    return detections_;
-  }
+  [[nodiscard]] const DetectionLog& detections() const { return detections_->log(); }
 
  private:
   NSizingReport sizing_;
-  NReplicatorChannel* replicator_ = nullptr;
-  NSelectorChannel* selector_ = nullptr;
-  std::vector<NDetectionRecord> detections_;
+  ReplicatorChannel* replicator_ = nullptr;
+  SelectorChannel* selector_ = nullptr;
+  std::optional<DetectionLogSink> detections_;
 };
 
 }  // namespace sccft::ft

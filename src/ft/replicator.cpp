@@ -11,35 +11,30 @@ ReplicatorChannel::ReplicatorChannel(sim::Simulator& sim, std::string name,
     : sim_(sim),
       name_(std::move(name)),
       subject_(sim.trace().intern(name_)),
-      read_interfaces_{ReadInterface(*this, ReplicaIndex::kReplica1),
-                       ReadInterface(*this, ReplicaIndex::kReplica2)},
-      observer_adapter_(*this) {
-  SCCFT_EXPECTS(config.capacity1 > 0 && config.capacity2 > 0);
-  queues_[0].capacity = config.capacity1;
-  queues_[0].subject = sim.trace().intern(name_ + ".R1");
-  queues_[0].link = config.link1;
-  queues_[1].capacity = config.capacity2;
-  queues_[1].subject = sim.trace().intern(name_ + ".R2");
-  queues_[1].link = config.link2;
-  // Scrubbable word order (stable, documented in the header).
-  scrub_set_.add(queues_[0].capacity);
-  scrub_set_.add(queues_[1].capacity);
-  sim_.trace().subscribe(&observer_adapter_, trace::bit(trace::EventKind::kDetection));
-}
-
-ReplicatorChannel::~ReplicatorChannel() {
-  sim_.trace().unsubscribe(&observer_adapter_);
-}
-
-void ReplicatorChannel::ObserverAdapter::on_event(const trace::Event& event) {
-  if (event.subject != owner_.subject_) return;
-  const auto r = static_cast<ReplicaIndex>(event.a);
-  const DetectionRecord record{r, static_cast<DetectionRule>(event.b), event.time};
-  for (const auto& observer : owner_.observers_) observer(record);
+      queues_(config.capacities.size()) {
+  SCCFT_EXPECTS(queues_.size() >= 2);
+  SCCFT_EXPECTS(config.links.empty() || config.links.size() == queues_.size());
+  read_interfaces_.reserve(queues_.size());
+  for (std::size_t i = 0; i < queues_.size(); ++i) {
+    SCCFT_EXPECTS(config.capacities[i] > 0);
+    const auto r = static_cast<ReplicaIndex>(i);
+    Queue& queue = queues_[i];
+    queue.capacity = config.capacities[i];
+    queue.subject = sim.trace().intern(name_ + "." + to_string(r));
+    if (!config.links.empty()) queue.link = config.links[i];
+    read_interfaces_.emplace_back(*this, r);
+    // Scrubbable word order (stable, documented in the header).
+    scrub_set_.add(queue.capacity);
+  }
 }
 
 kpn::TokenSource& ReplicatorChannel::read_interface(ReplicaIndex r) {
   return read_interfaces_[static_cast<std::size_t>(index_of(r))];
+}
+
+int ReplicatorChannel::healthy_count() const {
+  return static_cast<int>(std::count_if(queues_.begin(), queues_.end(),
+                                        [](const Queue& q) { return !q.fault; }));
 }
 
 bool ReplicatorChannel::try_write(const kpn::Token& token) {
@@ -67,11 +62,11 @@ bool ReplicatorChannel::try_write(const kpn::Token& token) {
                  static_cast<rtc::Tokens>(queue.slots.size()) < queue.capacity);
     enqueue(queue, token);
   }
-  // Both replicas faulty exceeds the single-fault hypothesis; the write is
-  // still accepted (and dropped) so the producer is never wedged.
+  // Every replica faulty exceeds the (N-1)-fault hypothesis; the write is
+  // still accepted (and dropped, from every queue's view) so the producer is
+  // never wedged.
   if (!any_healthy) {
-    ++queues_[0].stats.tokens_dropped;
-    ++queues_[1].stats.tokens_dropped;
+    for (Queue& queue : queues_) ++queue.stats.tokens_dropped;
     sim_.trace().emit(trace::EventKind::kTokenDrop, subject_, sim_.now(),
                       static_cast<std::int64_t>(token.seq()));
   }
@@ -137,7 +132,7 @@ void ReplicatorChannel::end_reconfiguration() {
 
 rtc::Tokens ReplicatorChannel::set_capacity(ReplicaIndex r, rtc::Tokens requested) {
   SCCFT_EXPECTS(requested > 0);
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = queue_at(r);
   // No retroactive conviction: a shrink stops one slot above the current
   // fill, so the resize itself never makes the overflow rule fire — the
   // queue must genuinely outgrow the new capacity afterwards.
@@ -148,7 +143,7 @@ rtc::Tokens ReplicatorChannel::set_capacity(ReplicaIndex r, rtc::Tokens requeste
 }
 
 void ReplicatorChannel::freeze_reader(ReplicaIndex r) {
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = queue_at(r);
   queue.reader_frozen = true;
   sim_.trace().emit(trace::EventKind::kFreeze, subject_, sim_.now(), index_of(r));
   // The parked reader's handle is RETAINED: a transient fault must resume it
@@ -158,7 +153,7 @@ void ReplicatorChannel::freeze_reader(ReplicaIndex r) {
 }
 
 void ReplicatorChannel::unfreeze_reader(ReplicaIndex r) {
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = queue_at(r);
   if (!queue.reader_frozen) return;
   queue.reader_frozen = false;
   sim_.trace().emit(trace::EventKind::kUnfreeze, subject_, sim_.now(), index_of(r));
@@ -168,7 +163,7 @@ void ReplicatorChannel::unfreeze_reader(ReplicaIndex r) {
 }
 
 void ReplicatorChannel::reintegrate(ReplicaIndex r) {
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = queue_at(r);
   queue.fault = false;
   queue.detection.reset();
   queue.reader_frozen = false;
@@ -179,7 +174,7 @@ void ReplicatorChannel::reintegrate(ReplicaIndex r) {
 }
 
 std::optional<kpn::Token> ReplicatorChannel::queue_try_read(ReplicaIndex r) {
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = queue_at(r);
   if (queue.reader_frozen) return std::nullopt;
   if (queue.slots.empty()) return std::nullopt;
   if (queue.slots.front().available_at > sim_.now()) return std::nullopt;
@@ -197,7 +192,7 @@ std::optional<kpn::Token> ReplicatorChannel::queue_try_read(ReplicaIndex r) {
 
 void ReplicatorChannel::queue_await_readable(ReplicaIndex r,
                                              std::coroutine_handle<> reader) {
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = queue_at(r);
   SCCFT_EXPECTS(!queue.waiting_reader);
   queue.waiting_reader = reader;
   ++queue.stats.reader_blocks;
@@ -208,13 +203,12 @@ void ReplicatorChannel::queue_await_readable(ReplicaIndex r,
 }
 
 void ReplicatorChannel::declare_fault(ReplicaIndex r) {
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = queue_at(r);
   SCCFT_ASSERT(!queue.fault);
   queue.fault = true;
   queue.detection =
       DetectionRecord{r, DetectionRule::kReplicatorOverflow, sim_.now()};
-  // The verdict travels the bus; the ObserverAdapter subscription replays it
-  // to the registered FaultObservers synchronously.
+  // The verdict travels the bus; detection logs and supervisors subscribe.
   sim_.trace().emit(trace::EventKind::kDetection, subject_, sim_.now(), index_of(r),
                     static_cast<std::int64_t>(DetectionRule::kReplicatorOverflow));
 }
@@ -263,7 +257,7 @@ kpn::ChannelStats ReplicatorChannel::stats() const {
 void ReplicatorChannel::publish_metrics(trace::MetricsRegistry& registry) const {
   for (std::size_t i = 0; i < queues_.size(); ++i) {
     const Queue& queue = queues_[i];
-    const std::string prefix = name_ + ".R" + std::to_string(i + 1);
+    const std::string prefix = name_ + "." + to_string(static_cast<ReplicaIndex>(i));
     registry.gauge_max(prefix + ".max_fill",
                        static_cast<std::int64_t>(queue.stats.max_fill));
     registry.add(prefix + ".tokens_written", queue.stats.tokens_written);
@@ -278,7 +272,8 @@ void ReplicatorChannel::publish_metrics(trace::MetricsRegistry& registry) const 
 std::size_t ReplicatorChannel::control_memory_bytes() const {
   // Control state only: counters, flags, waiters — not token payloads
   // (Table 2 reports "1.5KB + N tokens"-style figures the same way).
-  return sizeof(ReplicatorChannel);
+  return sizeof(ReplicatorChannel) +
+         queues_.size() * (sizeof(Queue) + sizeof(ReadInterface));
 }
 
 }  // namespace sccft::ft

@@ -1,26 +1,30 @@
 // The replicator channel (paper Section 3.1, rules 1-3; Section 3.3 fault
-// detection).
+// detection), for any replica count N >= 2.
 //
-// One writing interface (the producer) and two reading interfaces (one per
-// replica). Every accepted token is duplicated into both per-replica FIFO
-// queues. Bookkeeping follows the paper exactly:
+// One writing interface (the producer) and N reading interfaces (one per
+// replica). Every accepted token is duplicated into each per-replica FIFO
+// queue. Bookkeeping follows the paper exactly:
 //
-//   rule 1: two queues of capacities |R1|, |R2| with space/fill counters,
-//           initially fill_i = 0, space_i = |R_i|;
+//   rule 1: N queues of capacities |R_i| with space/fill counters, initially
+//           fill_i = 0, space_i = |R_i|;
 //   rule 2: each reading interface destructively and blockingly reads its
 //           own queue; a read increments space_i and decrements fill_i;
-//   rule 3: a write enqueues into BOTH queues iff min(space_1, space_2) > 0,
-//           else the writer blocks.
+//   rule 3: a write enqueues into EVERY queue iff min_i space_i > 0, else the
+//           writer blocks.
 //
 // Fault detection (Section 3.3): under fault-free conditions the queues never
 // overflow (their capacities come from Eq. (3)), so if the producer attempts
 // a write and finds space_i == 0, replica i is declared faulty
 // (fault_i := TRUE) and the replicator stops inserting tokens into queue i —
 // the producer therefore never blocks on a dead replica, which prevents the
-// "deadlocked non-faulty replica" scenario of Section 1.1.
+// "deadlocked non-faulty replica" scenario of Section 1.1. With N replicas up
+// to N-1 of them can be convicted this way (the paper's n-fault setup).
+//
+// Verdicts are published on the simulator's trace bus as kDetection events
+// (subject = trace_subject(), a = replica index, b = DetectionRule);
+// observers subscribe to the bus.
 #pragma once
 
-#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -40,25 +44,26 @@ class ReplicatorChannel final : public kpn::ChannelBase,
                                 public Scrubbable {
  public:
   struct Config {
-    rtc::Tokens capacity1 = 1;  ///< |R1| from Eq. (3)
-    rtc::Tokens capacity2 = 1;  ///< |R2| from Eq. (3)
-    /// Optional NoC links producer->replica-input cores (latency modelling).
-    std::optional<kpn::FifoChannel::LinkModel> link1;
-    std::optional<kpn::FifoChannel::LinkModel> link2;
+    /// |R_i| from Eq. (3), one per replica; its size is the replica count.
+    std::vector<rtc::Tokens> capacities{};
+    /// Optional NoC links producer->replica-input cores (latency modelling):
+    /// empty, or one entry per replica.
+    std::vector<std::optional<kpn::FifoChannel::LinkModel>> links{};
   };
 
   ReplicatorChannel(sim::Simulator& sim, std::string name, Config config);
-  ~ReplicatorChannel() override;
+
+  [[nodiscard]] int replica_count() const { return static_cast<int>(queues_.size()); }
 
   /// The reading interface of replica `r` (single reader each).
   [[nodiscard]] kpn::TokenSource& read_interface(ReplicaIndex r);
 
   /// Trace subjects: the channel itself and each per-replica queue
-  /// ("<name>.R1"/"<name>.R2"). Bus subscribers (monitor bridges, VCD) key
-  /// their filters on these.
+  /// ("<name>.R1", "<name>.R2", ...). Bus subscribers (monitor bridges, VCD,
+  /// detection logs) key their filters on these.
   [[nodiscard]] trace::SubjectId trace_subject() const { return subject_; }
   [[nodiscard]] trace::SubjectId queue_subject(ReplicaIndex r) const {
-    return queues_[static_cast<std::size_t>(index_of(r))].subject;
+    return queue_at(r).subject;
   }
 
   // TokenSink (the producer's single writing interface)
@@ -73,25 +78,15 @@ class ReplicatorChannel final : public kpn::ChannelBase,
 
   /// Per-queue statistics (Table 2's "Max. Observed fill" per |R_i|).
   [[nodiscard]] kpn::ChannelStats queue_stats(ReplicaIndex r) const {
-    return queues_[static_cast<std::size_t>(index_of(r))].stats;
+    return queue_at(r).stats;
   }
 
-  [[nodiscard]] bool fault(ReplicaIndex r) const {
-    return queues_[static_cast<std::size_t>(index_of(r))].fault;
-  }
+  [[nodiscard]] bool fault(ReplicaIndex r) const { return queue_at(r).fault; }
   [[nodiscard]] std::optional<DetectionRecord> detection(ReplicaIndex r) const {
-    return queues_[static_cast<std::size_t>(index_of(r))].detection;
+    return queue_at(r).detection;
   }
-
-  /// Replaces all registered observers with `observer`.
-  void set_fault_observer(FaultObserver observer) {
-    observers_.clear();
-    add_fault_observer(std::move(observer));
-  }
-  /// Adds an observer; all registered observers see every first detection.
-  void add_fault_observer(FaultObserver observer) {
-    if (observer) observers_.push_back(std::move(observer));
-  }
+  /// Replicas not (yet) declared faulty.
+  [[nodiscard]] int healthy_count() const;
 
   /// Models the replica's core halting: from now on, no reads are served on
   /// interface `r` (a crashed core issues no more reads, even if its process
@@ -132,26 +127,24 @@ class ReplicatorChannel final : public kpn::ChannelBase,
   /// demand is policed at the new capacity from the next write on.
   rtc::Tokens set_capacity(ReplicaIndex r, rtc::Tokens requested);
 
-  [[nodiscard]] rtc::Tokens capacity(ReplicaIndex r) const {
-    return queues_[static_cast<std::size_t>(index_of(r))].capacity;
-  }
+  [[nodiscard]] rtc::Tokens capacity(ReplicaIndex r) const { return queue_at(r).capacity; }
 
   [[nodiscard]] rtc::Tokens space(ReplicaIndex r) const {
-    const auto& queue = queues_[static_cast<std::size_t>(index_of(r))];
-    return queue.capacity - static_cast<rtc::Tokens>(queue.slots.size());
+    return queue_at(r).capacity - fill(r);
   }
   [[nodiscard]] rtc::Tokens fill(ReplicaIndex r) const {
-    return static_cast<rtc::Tokens>(
-        queues_[static_cast<std::size_t>(index_of(r))].slots.size());
+    return static_cast<rtc::Tokens>(queue_at(r).slots.size());
   }
 
   /// Approximate resident memory of the channel's control structures in
-  /// bytes, excluding token payload storage (Table 2 "Memory overhead").
+  /// bytes, excluding token payload storage (Table 2 "Memory overhead"): the
+  /// channel object plus its per-replica queue and interface records.
   [[nodiscard]] std::size_t control_memory_bytes() const;
 
   // Scrubbable: TMR-protected control words, in stable index order
-  //   {R1.capacity, R2.capacity}. The fills are implicit deque sizes, so the
-  //   capacities are the only words the overflow rule reads from memory.
+  //   {R1.capacity, R2.capacity, ..., RN.capacity}. The fills are implicit
+  //   deque sizes, so the capacities are the only words the overflow rule
+  //   reads from memory.
   [[nodiscard]] std::string scrub_name() const override { return name_; }
   [[nodiscard]] int control_word_count() const override { return scrub_set_.size(); }
   void corrupt_control_word(int word, int copy, std::uint64_t mask) override {
@@ -199,19 +192,12 @@ class ReplicatorChannel final : public kpn::ChannelBase,
     ReplicaIndex replica_;
   };
 
-  /// Thin adapter keeping the FaultObserver API source-compatible: verdicts
-  /// travel the trace bus as kDetection events; this sink filters for the
-  /// owning channel's subject and replays them to the registered observers
-  /// synchronously, in registration order — exactly the legacy semantics.
-  class ObserverAdapter final : public trace::Sink {
-   public:
-    explicit ObserverAdapter(ReplicatorChannel& owner) : owner_(owner) {}
-    void on_event(const trace::Event& event) override;
-
-   private:
-    ReplicatorChannel& owner_;
-  };
-
+  [[nodiscard]] Queue& queue_at(ReplicaIndex r) {
+    return queues_[static_cast<std::size_t>(index_of(r))];
+  }
+  [[nodiscard]] const Queue& queue_at(ReplicaIndex r) const {
+    return queues_[static_cast<std::size_t>(index_of(r))];
+  }
   [[nodiscard]] std::optional<kpn::Token> queue_try_read(ReplicaIndex r);
   void queue_await_readable(ReplicaIndex r, std::coroutine_handle<> reader);
   void declare_fault(ReplicaIndex r);
@@ -223,11 +209,11 @@ class ReplicatorChannel final : public kpn::ChannelBase,
   std::string name_;
   trace::SubjectId subject_;
   bool reconfiguring_ = false;
-  std::array<Queue, 2> queues_;
-  std::array<ReadInterface, 2> read_interfaces_;
+  /// Sized once at construction and never resized: the scrub set, the read
+  /// interfaces and scheduled wakes hold references into them.
+  std::vector<Queue> queues_;
+  std::vector<ReadInterface> read_interfaces_;
   std::coroutine_handle<> waiting_writer_;
-  std::vector<FaultObserver> observers_;
-  ObserverAdapter observer_adapter_;
   ScrubSet scrub_set_;
 };
 

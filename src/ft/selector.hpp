@@ -1,44 +1,52 @@
 // The selector channel (paper Section 3.1, rules 1-3; Section 3.3 fault
-// detection).
+// detection), for any replica count N >= 2.
 //
-// Two writing interfaces (one per replica) and a single reading interface
-// (the consumer). The selector keeps ONE physical FIFO of capacity
-// |S| = max(|S1|, |S2|) and two virtual space counters:
+// N writing interfaces (one per replica) and a single reading interface (the
+// consumer). The selector keeps ONE physical FIFO of capacity
+// |S| = max_i |S_i| and N virtual space counters:
 //
 //   rule 1: fill = 0, space_i = |S_i| initially (with Eq. (4) initial tokens
 //           preloaded, space_i starts at |S_i| - |S_i|_0 and fill at the
 //           preload count);
-//   rule 2: a consumer read increments BOTH space counters and decrements
+//   rule 2: a consumer read increments EVERY space counter and decrements
 //           fill;
-//   rule 3: a write on interface i blocks if space_i == 0; otherwise, if
-//           space_i <= space_j the token is the FIRST of its duplicate pair
-//           and is enqueued (fill++), else it is the LATE duplicate and is
-//           dropped; space_i is decremented either way.
+//   rule 3: a write on interface i blocks if space_i == 0; otherwise, if the
+//           token is the FIRST of its duplicate group it is enqueued
+//           (fill++), else it is a LATE duplicate and is dropped; space_i is
+//           decremented either way.
 //
 // Lemma 1 (isolation) holds by construction: interface j never touches
-// space_i, so back-pressure on replica i is independent of replica j.
+// space_i, so back-pressure on replica i is independent of every peer.
 //
-// Fault detection (Section 3.3):
+// Fault detection (Section 3.3), with at least one healthy replica always
+// kept (the (N-1)-fault hypothesis):
 //  (a) stall rule  — on a read, if space_i > |S_i| then replica i has fallen
 //      so far behind that it would eventually stall the consumer: faulty.
-//  (b) divergence rule — the difference in tokens *received* per interface
-//      |W_1 - W_2| reaching the Eq. (5) threshold D implicates the replica
-//      with fewer tokens. (The paper phrases this as |space_1 - space_2|;
+//  (b) divergence rule — a replica whose count of tokens *received* W_i lags
+//      the most advanced healthy replica by the Eq. (5) threshold D is
+//      faulty. (The paper phrases this as |space_1 - space_2| for N = 2;
 //      with equal |S_i| - |S_i|_0 the two are identical, and the received-
 //      token difference is the quantity its Eq. (6) latency analysis uses.)
 //  (c) corruption rule (extension) — every arriving token's CRC-32 is
 //      re-verified against its stored checksum; a mismatch is quarantined
-//      (dropped without advancing the received count, so the peer's healthy
-//      copy becomes the delivered first-of-pair) and reaching the configured
+//      (dropped without advancing the received count, so a peer's healthy
+//      copy becomes the delivered first-of-group) and reaching the configured
 //      mismatch threshold convicts the replica through the same
 //      fault-declaration path as (a)/(b), preserving Lemma 1 isolation.
+//
+// Vote mode (Config::enable_payload_vote) replaces first-of-group delivery
+// with a payload vote per duplicate group (see Config).
+//
+// Verdicts are published on the simulator's trace bus as kDetection events
+// (subject = trace_subject(), a = replica index, b = DetectionRule);
+// observers subscribe to the bus.
 #pragma once
 
-#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -55,10 +63,10 @@ class SelectorChannel final : public kpn::ChannelBase,
                               public Scrubbable {
  public:
   struct Config {
-    rtc::Tokens capacity1 = 1;       ///< |S1|
-    rtc::Tokens capacity2 = 1;       ///< |S2|
-    rtc::Tokens initial1 = 0;        ///< |S1|_0 (Eq. 4)
-    rtc::Tokens initial2 = 0;        ///< |S2|_0
+    /// |S_i|, one per replica; its size is the replica count.
+    std::vector<rtc::Tokens> capacities{};
+    /// |S_i|_0 (Eq. 4): empty (all zero) or one per replica.
+    std::vector<rtc::Tokens> initials{};
     rtc::Tokens divergence_threshold = 0;  ///< D (Eq. 5); 0 disables rule (b)
     bool enable_stall_rule = true;         ///< rule (a); ablatable
     bool verify_checksums = true;          ///< rule (c); ablatable
@@ -66,9 +74,22 @@ class SelectorChannel final : public kpn::ChannelBase,
     /// token could be a cosmic-ray single event; a repeat offender is a
     /// faulty core or link.
     int corruption_conviction_threshold = 3;
-    /// Optional NoC links replica-output -> consumer cores.
-    std::optional<kpn::FifoChannel::LinkModel> link1;
-    std::optional<kpn::FifoChannel::LinkModel> link2;
+    /// Majority-vote delivery: arrivals are buffered per duplicate group and
+    /// groups are resolved strictly in order. A group resolves as soon as a
+    /// strict majority of the non-convicted sides agree on a payload
+    /// fingerprint (the earliest agreeing arrival is delivered and any
+    /// dissenting side is convicted by rule kSelectorVote), or — failing a
+    /// majority once every live side has reported — by delivering the first
+    /// arrival and counting a vote_conflict (detect-only: with N=2 there is
+    /// no majority to out-vote a silent corrupter). Requires every capacity
+    /// to exceed the divergence threshold so a healthy leader reaches the
+    /// rule (b) verdict against a stalled laggard before exhausting its own
+    /// space, and supports neither reintegrate() (no restart path) nor NoC
+    /// links.
+    bool enable_payload_vote = false;
+    /// Optional NoC links replica-output -> consumer cores: empty, or one
+    /// entry per replica.
+    std::vector<std::optional<kpn::FifoChannel::LinkModel>> links{};
   };
 
   /// Fault-injection hook applied to every token arriving on one interface
@@ -76,24 +97,26 @@ class SelectorChannel final : public kpn::ChannelBase,
   using WriteTamper = std::function<kpn::Token(const kpn::Token&)>;
 
   SelectorChannel(sim::Simulator& sim, std::string name, Config config);
-  ~SelectorChannel() override;
+
+  [[nodiscard]] int replica_count() const { return static_cast<int>(sides_.size()); }
 
   /// The writing interface of replica `r` (single writer each).
   [[nodiscard]] kpn::TokenSink& write_interface(ReplicaIndex r);
 
   /// Trace subjects: the channel itself and each per-replica writing side
-  /// ("<name>.S1"/"<name>.S2"). Bus subscribers key their filters on these.
+  /// ("<name>.S1", "<name>.S2", ...). Bus subscribers key their filters on
+  /// these.
   [[nodiscard]] trace::SubjectId trace_subject() const { return subject_; }
   [[nodiscard]] trace::SubjectId side_subject(ReplicaIndex r) const {
-    return sides_[static_cast<std::size_t>(index_of(r))].subject;
+    return side_at(r).subject;
   }
 
   /// Optionally preloads the Eq. (4) initial tokens physically
-  /// (max(|S1|_0, |S2|_0) copies of `token`) so the consumer never blocks,
-  /// even at startup. The space counters are offset by |S_i|_0 either way
-  /// (rule 1 with initial conditions); without physical preload the consumer
-  /// simply blocks for the pipeline-fill transient, as the paper's
-  /// experimental setup does. Call before the run starts.
+  /// (max_i |S_i|_0 copies of `token`) so the consumer never blocks, even at
+  /// startup. The space counters are offset by |S_i|_0 either way (rule 1
+  /// with initial conditions); without physical preload the consumer simply
+  /// blocks for the pipeline-fill transient, as the paper's experimental
+  /// setup does. Call before the run starts.
   void preload_initial_tokens(const kpn::Token& token);
 
   // TokenSource (the consumer's single reading interface)
@@ -106,42 +129,35 @@ class SelectorChannel final : public kpn::ChannelBase,
   [[nodiscard]] kpn::ChannelStats stats() const override { return stats_; }
   void publish_metrics(trace::MetricsRegistry& registry) const override;
 
-  [[nodiscard]] rtc::Tokens space(ReplicaIndex r) const {
-    return sides_[static_cast<std::size_t>(index_of(r))].space;
-  }
+  [[nodiscard]] rtc::Tokens space(ReplicaIndex r) const { return side_at(r).space; }
   [[nodiscard]] rtc::Tokens fill() const { return static_cast<rtc::Tokens>(queue_.size()); }
 
   /// High-water mark of FIFO occupancy beyond the not-yet-consumed preload
   /// (Table 2 reports observed fills this way: initial tokens excluded).
   [[nodiscard]] rtc::Tokens max_observed_fill(ReplicaIndex r) const {
-    return sides_[static_cast<std::size_t>(index_of(r))].max_virtual_fill;
+    return side_at(r).max_virtual_fill;
   }
 
   [[nodiscard]] std::uint64_t tokens_received(ReplicaIndex r) const {
-    return sides_[static_cast<std::size_t>(index_of(r))].tokens_received;
+    return side_at(r).tokens_received;
   }
 
-  [[nodiscard]] bool fault(ReplicaIndex r) const {
-    return sides_[static_cast<std::size_t>(index_of(r))].fault;
-  }
+  [[nodiscard]] bool fault(ReplicaIndex r) const { return side_at(r).fault; }
   [[nodiscard]] std::optional<DetectionRecord> detection(ReplicaIndex r) const {
-    return sides_[static_cast<std::size_t>(index_of(r))].detection;
+    return side_at(r).detection;
   }
+  /// Replicas not (yet) declared faulty.
+  [[nodiscard]] int healthy_count() const;
 
   /// Tokens quarantined on interface `r` by the CRC rule (c).
   [[nodiscard]] std::uint64_t crc_mismatches(ReplicaIndex r) const {
-    return sides_[static_cast<std::size_t>(index_of(r))].crc_mismatches;
+    return side_at(r).crc_mismatches;
   }
-
-  /// Replaces all registered observers with `observer`.
-  void set_fault_observer(FaultObserver observer) {
-    observers_.clear();
-    add_fault_observer(std::move(observer));
-  }
-  /// Adds an observer; all registered observers see every first detection.
-  void add_fault_observer(FaultObserver observer) {
-    if (observer) observers_.push_back(std::move(observer));
-  }
+  /// Duplicate groups where every live side reported but no strict majority
+  /// fingerprint existed (vote mode only; N=2's detect-without-mask case).
+  [[nodiscard]] std::uint64_t vote_conflicts() const { return vote_conflicts_; }
+  /// Tokens whose fingerprint lost a resolved vote (dissenter arrivals).
+  [[nodiscard]] std::uint64_t votes_outvoted() const { return votes_outvoted_; }
 
   /// Installs (or, with an empty function, removes) the fault-injection
   /// tamper applied to tokens arriving on interface `r`.
@@ -163,9 +179,10 @@ class SelectorChannel final : public kpn::ChannelBase,
   /// Recovery extension: re-admits a previously faulty replica. The space
   /// counter restarts at |S_i| - |S_i|_0 and the received-token counter is
   /// re-synchronized on the replica's first write after rejoining, using the
-  /// token's sequence number against the peer's last delivered sequence —
-  /// this restores exact duplicate-pair alignment even though the rejoining
-  /// replica skipped the tokens that were in flight while it was down.
+  /// token's sequence number against the most advanced peer's last delivered
+  /// sequence — this restores exact duplicate-group alignment even though
+  /// the rejoining replica skipped the tokens that were in flight while it
+  /// was down. Not available in vote mode.
   void reintegrate(ReplicaIndex r);
 
   // --- live-resize protocol (src/adapt/reconfig.hpp) ----------------------
@@ -185,23 +202,25 @@ class SelectorChannel final : public kpn::ChannelBase,
   [[nodiscard]] bool reconfiguring() const { return reconfiguring_; }
 
   /// Installs a new divergence threshold D and returns the value actually
-  /// applied. A narrowing clamps one token above the current received-count
-  /// gap |W1 - W2| so the resize itself never convicts retroactively — the
-  /// divergence must genuinely deepen afterwards to reach the new threshold.
-  /// 0 disables rule (b), as at construction.
+  /// applied. A narrowing clamps one token above the current spread of the
+  /// received counts (max_i W_i - min_i W_i) so the resize itself never
+  /// convicts retroactively — the divergence must genuinely deepen
+  /// afterwards to reach the new threshold. 0 disables rule (b), as at
+  /// construction.
   rtc::Tokens set_divergence_threshold(rtc::Tokens requested);
 
   [[nodiscard]] rtc::Tokens divergence_threshold() const {
     return divergence_threshold_;
   }
 
-  /// Control-structure memory, payloads excluded (Table 2 memory overhead).
-  [[nodiscard]] std::size_t control_memory_bytes() const { return sizeof(SelectorChannel); }
+  /// Control-structure memory, payloads excluded (Table 2 memory overhead):
+  /// the channel object plus its per-replica side and interface records.
+  [[nodiscard]] std::size_t control_memory_bytes() const;
 
   // Scrubbable: TMR-protected control words, in stable index order
-  //   side1 {capacity, initial, space, virtual_fill, tokens_received,
-  //          last_seq}, side2 {same}, last_enqueued_seq_,
-  //   divergence_threshold_  (14 words).
+  //   side 1 {capacity, initial, space, virtual_fill, tokens_received,
+  //   last_seq}, side 2 {same}, ..., side N {same}, last_enqueued_seq_,
+  //   divergence_threshold_  (6N + 2 words; 14 for the duplicated pair).
   [[nodiscard]] std::string scrub_name() const override { return name_; }
   [[nodiscard]] int control_word_count() const override { return scrub_set_.size(); }
   void corrupt_control_word(int word, int copy, std::uint64_t mask) override {
@@ -232,10 +251,12 @@ class SelectorChannel final : public kpn::ChannelBase,
     /// wake_writers consults it so a held writer is only resumed once the
     /// hold has actually lifted (try_write would succeed).
     std::uint64_t held_seq = 0;
-    /// Set by a CRC quarantine: the received count no longer matches the
-    /// arrival count, so it is re-anchored (by sequence number, against the
-    /// peer) on the next healthy write — otherwise the offset would
-    /// misclassify this replica's healthy tokens as late duplicates forever.
+    /// Set by a CRC quarantine or a lost NoC transfer outside vote mode: the
+    /// received count no longer matches the arrival count, so it is
+    /// re-anchored (by sequence number, against the most advanced peer) on
+    /// the next healthy write — otherwise the offset would misclassify this
+    /// replica's healthy tokens as late duplicates forever. Vote mode keeps
+    /// the offset: its group numbering is the received count itself.
     bool count_resync_pending = false;
     std::coroutine_handle<> waiting_writer;
     bool writer_frozen = false;
@@ -268,33 +289,51 @@ class SelectorChannel final : public kpn::ChannelBase,
     ReplicaIndex replica_;
   };
 
-  /// Thin adapter keeping the FaultObserver API source-compatible: verdicts
-  /// travel the trace bus as kDetection events; this sink filters for the
-  /// owning channel's subject and replays them to the registered observers
-  /// synchronously, in registration order — exactly the legacy semantics.
-  class ObserverAdapter final : public trace::Sink {
-   public:
-    explicit ObserverAdapter(SelectorChannel& owner) : owner_(owner) {}
-    void on_event(const trace::Event& event) override;
-
-   private:
-    SelectorChannel& owner_;
+  /// One side's member of a duplicate group awaiting its vote.
+  struct GroupArrival {
+    ReplicaIndex replica = ReplicaIndex::kReplica1;
+    kpn::Token token;
   };
 
+  [[nodiscard]] Side& side_at(ReplicaIndex r) {
+    return sides_[static_cast<std::size_t>(index_of(r))];
+  }
+  [[nodiscard]] const Side& side_at(ReplicaIndex r) const {
+    return sides_[static_cast<std::size_t>(index_of(r))];
+  }
+  /// The most advanced peer of side i by received count, preferring peers
+  /// whose counters are not awaiting a post-recovery resync (nullptr if N
+  /// has no peer, which the constructor rules out).
+  [[nodiscard]] const Side* resync_anchor(std::size_t i) const;
+  /// The healthy, non-resyncing peer of side i with the highest received
+  /// count: the owner of the delivered frontier a rejoining side must meet.
+  [[nodiscard]] const Side* frontier_leader(std::size_t i) const;
   [[nodiscard]] bool side_try_write(ReplicaIndex r, const kpn::Token& token);
   void side_await_writable(ReplicaIndex r, std::coroutine_handle<> writer);
   void declare_fault(ReplicaIndex r, DetectionRule rule);
   void check_divergence();
+  /// Enqueues `token` (from `origin`) for the consumer at `available_at`.
+  void deliver(const kpn::Token& token, ReplicaIndex origin, rtc::TimeNs available_at);
   void wake_reader(rtc::TimeNs when);
   void wake_writers();
   [[nodiscard]] bool frontier_hold_active(std::size_t i) const;
+  /// Vote mode: records side `r`'s member of duplicate group `group`.
+  void note_vote_arrival(ReplicaIndex r, std::uint64_t group, const kpn::Token& token);
+  /// Vote mode: resolves pending groups starting at next_resolve_group_ for
+  /// as long as a verdict (majority or all-live-reported) is available.
+  void resolve_ready_groups();
+  /// Vote mode: delivers a group's chosen member behind the seq-monotone
+  /// guard and drops the rest.
+  void deliver_group(const GroupArrival& chosen, std::size_t members);
 
   sim::Simulator& sim_;
   std::string name_;
   trace::SubjectId subject_;
   bool reconfiguring_ = false;
-  std::array<Side, 2> sides_;
-  std::array<WriteInterface, 2> write_interfaces_;
+  /// Sized once at construction and never resized: the scrub set, the write
+  /// interfaces and scheduled wakes hold references into them.
+  std::vector<Side> sides_;
+  std::vector<WriteInterface> write_interfaces_;
   std::deque<Slot> queue_;
   rtc::Tokens pending_preload_ = 0;  ///< preloaded tokens not yet consumed
   /// Highest sequence number ever enqueued for delivery (-1 before the
@@ -305,11 +344,21 @@ class SelectorChannel final : public kpn::ChannelBase,
   bool enable_stall_rule_ = true;
   bool verify_checksums_ = true;
   int corruption_conviction_threshold_ = 3;
+  bool enable_payload_vote_ = false;
   std::coroutine_handle<> waiting_reader_;
   kpn::ChannelStats stats_;
-  std::vector<FaultObserver> observers_;
-  ObserverAdapter observer_adapter_;
   ScrubSet scrub_set_;
+
+  // --- vote-mode state (empty unless enable_payload_vote_) ---
+  /// Buffered arrivals for groups >= next_resolve_group_, keyed by group.
+  std::map<std::uint64_t, std::vector<GroupArrival>> pending_;
+  /// Delivered fingerprint of majority-resolved groups, kept until every
+  /// non-convicted side has passed the group (straggler cross-check).
+  std::map<std::uint64_t, std::uint32_t> resolved_fp_;
+  std::uint64_t next_resolve_group_ = 1;
+  std::uint64_t vote_conflicts_ = 0;
+  std::uint64_t votes_outvoted_ = 0;
+  bool resolving_ = false;  ///< reentrancy guard: conviction inside a resolve
 };
 
 }  // namespace sccft::ft

@@ -65,10 +65,8 @@ Supervisor::Supervisor(sim::Simulator& sim, ReplicatorChannel& replicator,
     replicas_[i].assets = std::move(assets[i]);
     replicas_[i].metric_prefix = config_.name + ".R" + std::to_string(i + 1);
   }
-  // Subscribed after the channels' own ObserverAdapters (construction order),
-  // so externally registered FaultObservers — the framework's detection log
-  // in particular — still run before the supervisor acts, exactly as they
-  // did when everyone sat in the same observer list.
+  // Subscribed after the harness's detection-log sink (construction order),
+  // so the log records a verdict before the supervisor acts on it.
   sim_.trace().subscribe(&sink_, trace::bit(trace::EventKind::kDetection) |
                                      trace::bit(trace::EventKind::kInjection) |
                                      trace::bit(trace::EventKind::kCurveViolation));

@@ -155,10 +155,8 @@ class Supervisor final {
   Supervisor& operator=(const Supervisor&) = delete;
 
   /// Timestamps a fault injection so the next detection of `replica` gets a
-  /// latency sample. Pass as FaultCampaign's injection listener:
-  ///   campaign.set_injection_listener([&](const FaultInjectionRecord& rec) {
-  ///     supervisor.note_fault_injected(rec.replica, rec.at);
-  ///   });
+  /// latency sample. The bus subscription calls this for every kInjection
+  /// event; rigs injecting faults by hand call it directly.
   void note_fault_injected(ReplicaIndex replica, rtc::TimeNs at);
 
   [[nodiscard]] ReplicaHealth health(ReplicaIndex r) const {

@@ -13,7 +13,7 @@
 //  3. Synchronous. Sinks see an event inside the emitting call, in
 //     subscription order, so behavioural subscribers (the supervisor, the
 //     detection log, monitor bridges) observe verdicts at exactly the
-//     instant the legacy observer callbacks did.
+//     instant they are reached.
 //
 // The bus also owns the MetricsRegistry (trace/metrics.hpp) — the always-on
 // counter/series store the experiment harvests read — so "the trace spine"

@@ -9,7 +9,6 @@
 #include "chaos/storm.hpp"
 #include "ft/fault_plan.hpp"
 #include "ft/framework.hpp"
-#include "ft/nreplica.hpp"
 #include "ft/supervisor.hpp"
 #include "kpn/network.hpp"
 #include "kpn/timing.hpp"
@@ -314,8 +313,7 @@ TrialOutcome run_trial_pair(const ProcessSpec& spec,
   ft::FaultCampaign::Wiring wiring;
   wiring.replicator = &harness.replicator();
   wiring.selector = &harness.selector();
-  wiring.processes[0] = {r1};
-  wiring.processes[1] = {r2};
+  wiring.processes = {{r1}, {r2}};
   wiring.supervisor = &supervisor;
   ft::FaultCampaign campaign(simulator, wiring, spec.name + ".faults");
   for (const ft::FaultSpec& fault : plan.faults) campaign.add(fault);
@@ -338,7 +336,7 @@ TrialOutcome run_trial_pair(const ProcessSpec& spec,
   return outcome;
 }
 
-/// N >= 3: the unsupervised payload-vote rig (ft/nreplica).
+/// N >= 3: the unsupervised payload-vote rig.
 TrialOutcome run_trial_vote(const ProcessSpec& spec, int protection,
                             const chaos::StormPlan& plan) {
   sim::Simulator simulator;
@@ -366,7 +364,8 @@ TrialOutcome run_trial_vote(const ProcessSpec& spec, int protection,
     replica_groups.push_back({&net.add_process(
         spec.name + ".r" + std::to_string(r + 1), scc::CoreId{2 * (r + 1)},
         seed * 10 + 2 + static_cast<std::uint64_t>(r),
-        [&spec, &harness, r](kpn::ProcessContext& ctx) -> sim::Task {
+        [&spec, &harness, r = static_cast<ft::ReplicaIndex>(r)](
+            kpn::ProcessContext& ctx) -> sim::Task {
           kpn::TimingShaper emit(spec.stage, ctx.now(), ctx.rng());
           rtc::TimeNs last_emit = -1;
           while (true) {
@@ -398,9 +397,9 @@ TrialOutcome run_trial_vote(const ProcessSpec& spec, int protection,
       });
 
   ft::FaultCampaign::Wiring wiring;
-  wiring.nreplicator = &harness.replicator();
-  wiring.nselector = &harness.selector();
-  wiring.nprocesses = std::move(replica_groups);
+  wiring.replicator = &harness.replicator();
+  wiring.selector = &harness.selector();
+  wiring.processes = std::move(replica_groups);
   ft::FaultCampaign campaign(simulator, wiring, spec.name + ".faults");
   for (const ft::FaultSpec& fault : plan.faults) campaign.add(fault);
   campaign.arm();
@@ -414,10 +413,10 @@ TrialOutcome run_trial_vote(const ProcessSpec& spec, int protection,
   outcome.corruptions = scorer.corruptions;
   outcome.divergences = scorer.divergences;
   outcome.deadline_misses = scorer.misses;
-  outcome.detections = harness.detections().size();
-  if (!harness.detections().empty() && !plan.faults.empty()) {
+  outcome.detections = harness.detections().records.size();
+  if (!harness.detections().records.empty() && !plan.faults.empty()) {
     outcome.detection_latency =
-        harness.detections().front().detected_at - plan.faults.front().at;
+        harness.detections().records.front().detected_at - plan.faults.front().at;
   }
   return outcome;
 }

@@ -10,7 +10,7 @@
 //          process (silence/rate) or its emitted tokens (corruption).
 //   N = 2  the paper's supervised duplicated pair (ft/framework +
 //          ft/supervisor), faults injected through ft::FaultCampaign.
-//   N = 3+ the unsupervised N-replica payload-vote rig (ft/nreplica).
+//   N = 3+ the unsupervised N-replica payload-vote rig (selector vote mode).
 //
 // Each trial scores what the *user* sees: wrong output values (after the
 // process's sensitivity mask), golden-stream divergence, and deliveries past

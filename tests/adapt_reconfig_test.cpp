@@ -57,14 +57,12 @@ struct Rig {
 
   Rig(rtc::Tokens fifo1, rtc::Tokens fifo2, rtc::Tokens divergence,
       rtc::TimeNs quiesce)
-      : rep(sim, "rep", {.capacity1 = fifo1, .capacity2 = fifo2}),
+      : rep(sim, "rep", {.capacities = {fifo1, fifo2}}),
         sel(sim, "sel",
-            {.capacity1 = 12,
-             .capacity2 = 12,
+            {.capacities = {12, 12},
              // Eq. (4) stall budget: a replica may trail the consumer by up
              // to 5 tokens before rule (a) convicts it.
-             .initial1 = 5,
-             .initial2 = 5,
+             .initials = {5, 5},
              .divergence_threshold = divergence,
              .enable_stall_rule = true}),
         rc(sim, sim.trace(), rep, sel,

@@ -1,10 +1,12 @@
-// N-replica channel tests: sizing generalization, arbitration with N
-// interfaces, and tolerance of multiple sequential faults.
+// N-replica tests: sizing generalization, the replicator/selector channels
+// arbitrating N interfaces, and tolerance of multiple sequential faults.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "ft/nreplica.hpp"
+#include "ft/replicator.hpp"
+#include "ft/selector.hpp"
 #include "kpn/network.hpp"
 #include "kpn/process.hpp"
 #include "rtc/pjd.hpp"
@@ -108,31 +110,33 @@ TEST(NCost, ReplicationCostPinnedAgainstSizing) {
                util::ContractViolation);
 }
 
+/// Replica i of an N-replica channel.
+constexpr ReplicaIndex R(int i) { return static_cast<ReplicaIndex>(i); }
+
 struct Fixture {
   sim::Simulator sim;
   kpn::Network net{sim};
-  NReplicatorChannel* replicator = nullptr;
-  NSelectorChannel* selector = nullptr;
+  ReplicatorChannel* replicator = nullptr;
+  SelectorChannel* selector = nullptr;
 
   explicit Fixture(int replicas) {
-    std::vector<rtc::Tokens> rep_caps(static_cast<std::size_t>(replicas), 3);
-    replicator = &net.adopt_channel(
-        std::make_unique<NReplicatorChannel>(sim, "nrep", rep_caps));
-    NSelectorChannel::Config config;
-    config.capacities.assign(static_cast<std::size_t>(replicas), 6);
-    config.initials.assign(static_cast<std::size_t>(replicas), 3);
-    config.divergence_threshold = 4;
-    selector = &net.adopt_channel(
-        std::make_unique<NSelectorChannel>(sim, "nsel", std::move(config)));
+    const auto n = static_cast<std::size_t>(replicas);
+    replicator = &net.adopt_channel(std::make_unique<ReplicatorChannel>(
+        sim, "nrep", ReplicatorChannel::Config{.capacities = std::vector<rtc::Tokens>(n, 3)}));
+    selector = &net.adopt_channel(std::make_unique<SelectorChannel>(
+        sim, "nsel",
+        SelectorChannel::Config{.capacities = std::vector<rtc::Tokens>(n, 6),
+                                .initials = std::vector<rtc::Tokens>(n, 3),
+                                .divergence_threshold = 4}));
   }
 };
 
 TEST(NReplicator, DuplicatesToAllQueues) {
   Fixture fx(3);
   ASSERT_TRUE(fx.replicator->try_write(make_token(0)));
-  for (int r = 0; r < 3; ++r) EXPECT_EQ(fx.replicator->fill(r), 1);
+  for (int r = 0; r < 3; ++r) EXPECT_EQ(fx.replicator->fill(R(r)), 1);
   for (int r = 0; r < 3; ++r) {
-    auto token = fx.replicator->read_interface(r).try_read();
+    auto token = fx.replicator->read_interface(R(r)).try_read();
     ASSERT_TRUE(token.has_value());
     EXPECT_EQ(token->seq(), 0u);
   }
@@ -143,11 +147,11 @@ TEST(NReplicator, OverflowFlagsOnlyTheDeadQueue) {
   // Queues 1 and 2 drain; queue 0 never reads.
   for (std::uint64_t k = 0; k < 5; ++k) {
     ASSERT_TRUE(fx.replicator->try_write(make_token(k)));
-    for (int r = 1; r < 3; ++r) (void)fx.replicator->read_interface(r).try_read();
+    for (int r = 1; r < 3; ++r) (void)fx.replicator->read_interface(R(r)).try_read();
   }
-  EXPECT_TRUE(fx.replicator->fault(0));
-  EXPECT_FALSE(fx.replicator->fault(1));
-  EXPECT_FALSE(fx.replicator->fault(2));
+  EXPECT_TRUE(fx.replicator->fault(R(0)));
+  EXPECT_FALSE(fx.replicator->fault(R(1)));
+  EXPECT_FALSE(fx.replicator->fault(R(2)));
   EXPECT_EQ(fx.replicator->healthy_count(), 2);
 }
 
@@ -156,7 +160,7 @@ TEST(NReplicator, ToleratesTwoSequentialFaults) {
   std::vector<std::uint64_t> survivor;
   std::uint64_t k = 0;
   auto drain = [&](int r) {
-    while (auto token = fx.replicator->read_interface(r).try_read()) {
+    while (auto token = fx.replicator->read_interface(R(r)).try_read()) {
       if (r == 2) survivor.push_back(token->seq());
     }
   };
@@ -170,14 +174,14 @@ TEST(NReplicator, ToleratesTwoSequentialFaults) {
     ASSERT_TRUE(fx.replicator->try_write(make_token(k)));
     for (int r = 1; r < 3; ++r) drain(r);
   }
-  EXPECT_TRUE(fx.replicator->fault(0));
+  EXPECT_TRUE(fx.replicator->fault(R(0)));
   // Phase 3: replica 1 dies too.
   for (; k < 16; ++k) {
     ASSERT_TRUE(fx.replicator->try_write(make_token(k)));
     drain(2);
   }
-  EXPECT_TRUE(fx.replicator->fault(1));
-  EXPECT_FALSE(fx.replicator->fault(2));
+  EXPECT_TRUE(fx.replicator->fault(R(1)));
+  EXPECT_FALSE(fx.replicator->fault(R(2)));
   // The survivor saw every token.
   ASSERT_EQ(survivor.size(), 16u);
   for (std::uint64_t i = 0; i < survivor.size(); ++i) EXPECT_EQ(survivor[i], i);
@@ -191,17 +195,17 @@ TEST(NSelector, FirstOfGroupWinsAcrossThreeWriters) {
   };
   // Different leaders per group: 1 first for group 0, 2 first for group 1,
   // 0 first for group 2; every later duplicate must be dropped.
-  ASSERT_TRUE(fx.selector->write_interface(1).try_write(make_token(0)));
-  ASSERT_TRUE(fx.selector->write_interface(0).try_write(make_token(0)));
-  ASSERT_TRUE(fx.selector->write_interface(2).try_write(make_token(0)));
+  ASSERT_TRUE(fx.selector->write_interface(R(1)).try_write(make_token(0)));
+  ASSERT_TRUE(fx.selector->write_interface(R(0)).try_write(make_token(0)));
+  ASSERT_TRUE(fx.selector->write_interface(R(2)).try_write(make_token(0)));
   drain();
-  ASSERT_TRUE(fx.selector->write_interface(2).try_write(make_token(1)));
-  ASSERT_TRUE(fx.selector->write_interface(1).try_write(make_token(1)));
-  ASSERT_TRUE(fx.selector->write_interface(0).try_write(make_token(1)));
+  ASSERT_TRUE(fx.selector->write_interface(R(2)).try_write(make_token(1)));
+  ASSERT_TRUE(fx.selector->write_interface(R(1)).try_write(make_token(1)));
+  ASSERT_TRUE(fx.selector->write_interface(R(0)).try_write(make_token(1)));
   drain();
-  ASSERT_TRUE(fx.selector->write_interface(0).try_write(make_token(2)));
-  ASSERT_TRUE(fx.selector->write_interface(2).try_write(make_token(2)));
-  ASSERT_TRUE(fx.selector->write_interface(1).try_write(make_token(2)));
+  ASSERT_TRUE(fx.selector->write_interface(R(0)).try_write(make_token(2)));
+  ASSERT_TRUE(fx.selector->write_interface(R(2)).try_write(make_token(2)));
+  ASSERT_TRUE(fx.selector->write_interface(R(1)).try_write(make_token(2)));
   drain();
   EXPECT_EQ(consumed, (std::vector<std::uint64_t>{0, 1, 2}));
   EXPECT_EQ(fx.selector->stats().tokens_dropped, 6u);
@@ -212,24 +216,24 @@ TEST(NSelector, DivergenceConvictsLaggards) {
   // Interface 0 delivers; 1 and 2 silent. After D = 4 tokens, both laggards
   // are convicted (but never the leader).
   for (std::uint64_t k = 0; k < 5; ++k) {
-    ASSERT_TRUE(fx.selector->write_interface(0).try_write(make_token(k)));
+    ASSERT_TRUE(fx.selector->write_interface(R(0)).try_write(make_token(k)));
     (void)fx.selector->try_read();
   }
-  EXPECT_FALSE(fx.selector->fault(0));
-  EXPECT_TRUE(fx.selector->fault(1));
-  EXPECT_TRUE(fx.selector->fault(2));
+  EXPECT_FALSE(fx.selector->fault(R(0)));
+  EXPECT_TRUE(fx.selector->fault(R(1)));
+  EXPECT_TRUE(fx.selector->fault(R(2)));
   EXPECT_EQ(fx.selector->healthy_count(), 1);
 }
 
 TEST(NSelector, NeverConvictsLastHealthyReplica) {
   Fixture fx(2);
   for (std::uint64_t k = 0; k < 20; ++k) {
-    ASSERT_TRUE(fx.selector->write_interface(0).try_write(make_token(k)));
+    ASSERT_TRUE(fx.selector->write_interface(R(0)).try_write(make_token(k)));
     (void)fx.selector->try_read();
   }
   // Interface 1 convicted; interface 0 must survive no matter the counters.
-  EXPECT_TRUE(fx.selector->fault(1));
-  EXPECT_FALSE(fx.selector->fault(0));
+  EXPECT_TRUE(fx.selector->fault(R(1)));
+  EXPECT_FALSE(fx.selector->fault(R(0)));
   EXPECT_EQ(fx.selector->healthy_count(), 1);
 }
 
@@ -242,47 +246,47 @@ TEST(NSelector, SequentialFailoverPreservesStream) {
   std::uint64_t w0 = 0, w1 = 0, w2 = 0;
   // All three in lockstep for 4 groups.
   for (; w0 < 4; ++w0, ++w1, ++w2) {
-    ASSERT_TRUE(fx.selector->write_interface(0).try_write(make_token(w0)));
-    ASSERT_TRUE(fx.selector->write_interface(1).try_write(make_token(w1)));
-    ASSERT_TRUE(fx.selector->write_interface(2).try_write(make_token(w2)));
+    ASSERT_TRUE(fx.selector->write_interface(R(0)).try_write(make_token(w0)));
+    ASSERT_TRUE(fx.selector->write_interface(R(1)).try_write(make_token(w1)));
+    ASSERT_TRUE(fx.selector->write_interface(R(2)).try_write(make_token(w2)));
     drain();
   }
   // Replica 0 dies; 1 and 2 continue for 6 groups.
   for (; w1 < 10; ++w1, ++w2) {
-    ASSERT_TRUE(fx.selector->write_interface(1).try_write(make_token(w1)));
-    ASSERT_TRUE(fx.selector->write_interface(2).try_write(make_token(w2)));
+    ASSERT_TRUE(fx.selector->write_interface(R(1)).try_write(make_token(w1)));
+    ASSERT_TRUE(fx.selector->write_interface(R(2)).try_write(make_token(w2)));
     drain();
   }
   // Replica 1 dies; 2 carries on alone for 6 more.
   for (; w2 < 16; ++w2) {
-    ASSERT_TRUE(fx.selector->write_interface(2).try_write(make_token(w2)));
+    ASSERT_TRUE(fx.selector->write_interface(R(2)).try_write(make_token(w2)));
     drain();
   }
   ASSERT_EQ(consumed.size(), 16u);
   for (std::uint64_t i = 0; i < consumed.size(); ++i) EXPECT_EQ(consumed[i], i);
-  EXPECT_TRUE(fx.selector->fault(0));
-  EXPECT_TRUE(fx.selector->fault(1));
-  EXPECT_FALSE(fx.selector->fault(2));
+  EXPECT_TRUE(fx.selector->fault(R(0)));
+  EXPECT_TRUE(fx.selector->fault(R(1)));
+  EXPECT_FALSE(fx.selector->fault(R(2)));
 }
 
 TEST(NSelector, IsolationPerInterface) {
   Fixture fx(3);
-  auto& w0 = fx.selector->write_interface(0);
+  auto& w0 = fx.selector->write_interface(R(0));
   // Exhaust interface 0's space (capacity 6, initial 3 -> space 3).
   for (std::uint64_t k = 0; k < 3; ++k) ASSERT_TRUE(w0.try_write(make_token(k)));
-  EXPECT_EQ(fx.selector->space(0), 0);
+  EXPECT_EQ(fx.selector->space(R(0)), 0);
   EXPECT_FALSE(w0.try_write(make_token(3)));  // blocks
   // Peers unaffected (Lemma 1 generalized).
-  EXPECT_EQ(fx.selector->space(1), 3);
-  ASSERT_TRUE(fx.selector->write_interface(1).try_write(make_token(0)));
+  EXPECT_EQ(fx.selector->space(R(1)), 3);
+  ASSERT_TRUE(fx.selector->write_interface(R(1)).try_write(make_token(0)));
 }
 
 TEST(NSelector, FrozenWriterDropsSilently) {
   Fixture fx(3);
-  fx.selector->freeze_writer(1);
-  ASSERT_TRUE(fx.selector->write_interface(1).try_write(make_token(0)));
+  fx.selector->freeze_writer(R(1));
+  ASSERT_TRUE(fx.selector->write_interface(R(1)).try_write(make_token(0)));
   EXPECT_EQ(fx.selector->fill(), 0);
-  EXPECT_EQ(fx.selector->tokens_received(1), 0u);
+  EXPECT_EQ(fx.selector->tokens_received(R(1)), 0u);
 }
 
 TEST(NReplicator, ReintegrateReopensQueueAtCurrentPosition) {
@@ -290,20 +294,20 @@ TEST(NReplicator, ReintegrateReopensQueueAtCurrentPosition) {
   // Queue 0 never drains: overflows and is convicted.
   for (std::uint64_t k = 0; k < 5; ++k) {
     ASSERT_TRUE(fx.replicator->try_write(make_token(k)));
-    for (int r = 1; r < 3; ++r) (void)fx.replicator->read_interface(r).try_read();
+    for (int r = 1; r < 3; ++r) (void)fx.replicator->read_interface(R(r)).try_read();
   }
-  ASSERT_TRUE(fx.replicator->fault(0));
-  EXPECT_GT(fx.replicator->fill(0), 0);
+  ASSERT_TRUE(fx.replicator->fault(R(0)));
+  EXPECT_GT(fx.replicator->fill(R(0)), 0);
 
-  fx.replicator->reintegrate(0);
-  EXPECT_FALSE(fx.replicator->fault(0));
-  EXPECT_FALSE(fx.replicator->detection(0).has_value());
+  fx.replicator->reintegrate(R(0));
+  EXPECT_FALSE(fx.replicator->fault(R(0)));
+  EXPECT_FALSE(fx.replicator->detection(R(0)).has_value());
   // The stale backlog is discarded: the replica rejoins at the producer's
   // current position, not at tokens its peers already delivered.
-  EXPECT_EQ(fx.replicator->fill(0), 0);
+  EXPECT_EQ(fx.replicator->fill(R(0)), 0);
 
   ASSERT_TRUE(fx.replicator->try_write(make_token(5)));
-  auto token = fx.replicator->read_interface(0).try_read();
+  auto token = fx.replicator->read_interface(R(0)).try_read();
   ASSERT_TRUE(token.has_value());
   EXPECT_EQ(token->seq(), 5u);
   EXPECT_EQ(fx.replicator->healthy_count(), 3);
@@ -320,26 +324,26 @@ TEST(NSelector, ReintegrateResyncRealignsDuplicateGroups) {
   std::uint64_t seq = 0;
   for (; seq < 4; ++seq) {
     for (int r = 0; r < 3; ++r) {
-      ASSERT_TRUE(fx.selector->write_interface(r).try_write(make_token(seq)));
+      ASSERT_TRUE(fx.selector->write_interface(R(r)).try_write(make_token(seq)));
     }
     drain();
   }
   for (; seq < 10; ++seq) {
     for (int r = 1; r < 3; ++r) {
-      ASSERT_TRUE(fx.selector->write_interface(r).try_write(make_token(seq)));
+      ASSERT_TRUE(fx.selector->write_interface(R(r)).try_write(make_token(seq)));
     }
     drain();
   }
-  ASSERT_TRUE(fx.selector->fault(0));
+  ASSERT_TRUE(fx.selector->fault(R(0)));
 
-  fx.selector->reintegrate(0);
-  EXPECT_FALSE(fx.selector->fault(0));
-  EXPECT_EQ(fx.selector->space(0), 3);  // capacity - initial restored
+  fx.selector->reintegrate(R(0));
+  EXPECT_FALSE(fx.selector->fault(R(0)));
+  EXPECT_EQ(fx.selector->space(R(0)), 3);  // capacity - initial restored
 
   // A late duplicate of an already-delivered group is recognized as such by
   // the sequence-number resync and dropped, not delivered again.
   const auto delivered = consumed.size();
-  ASSERT_TRUE(fx.selector->write_interface(0).try_write(make_token(seq - 1)));
+  ASSERT_TRUE(fx.selector->write_interface(R(0)).try_write(make_token(seq - 1)));
   drain();
   EXPECT_EQ(consumed.size(), delivered);
 
@@ -347,7 +351,7 @@ TEST(NSelector, ReintegrateResyncRealignsDuplicateGroups) {
   // group first makes IT the leader and the peers' copies the duplicates.
   for (; seq < 13; ++seq) {
     for (int r = 0; r < 3; ++r) {
-      ASSERT_TRUE(fx.selector->write_interface(r).try_write(make_token(seq)));
+      ASSERT_TRUE(fx.selector->write_interface(R(r)).try_write(make_token(seq)));
     }
     drain();
   }
@@ -364,33 +368,33 @@ TEST(NSelector, RejoinAheadOfFrontierHeldUntilPeerCatchesUp) {
   std::uint64_t seq = 0;
   for (; seq < 4; ++seq) {
     for (int r = 0; r < 3; ++r) {
-      ASSERT_TRUE(fx.selector->write_interface(r).try_write(make_token(seq)));
+      ASSERT_TRUE(fx.selector->write_interface(R(r)).try_write(make_token(seq)));
     }
     drain();
   }
   // Interface 0 halts (transient outage); peers advance to seq 5.
-  fx.selector->freeze_writer(0);
+  fx.selector->freeze_writer(R(0));
   for (; seq < 6; ++seq) {
     for (int r = 1; r < 3; ++r) {
-      ASSERT_TRUE(fx.selector->write_interface(r).try_write(make_token(seq)));
+      ASSERT_TRUE(fx.selector->write_interface(R(r)).try_write(make_token(seq)));
     }
     drain();
   }
-  fx.selector->reintegrate(0);
+  fx.selector->reintegrate(R(0));
 
   // The restarted replica resumes at seq 8 — ahead of the delivered frontier
   // (5). Tokens 6 and 7 exist only in the peers' pipelines, so the write is
   // HELD (returns false), not enqueued: delivering 8 now would turn the
   // peers' 6 and 7 into dropped late duplicates — a permanent gap.
-  EXPECT_FALSE(fx.selector->write_interface(0).try_write(make_token(8)));
+  EXPECT_FALSE(fx.selector->write_interface(R(0)).try_write(make_token(8)));
   for (; seq < 8; ++seq) {
     for (int r = 1; r < 3; ++r) {
-      ASSERT_TRUE(fx.selector->write_interface(r).try_write(make_token(seq)));
+      ASSERT_TRUE(fx.selector->write_interface(R(r)).try_write(make_token(seq)));
     }
     drain();
   }
   // Frontier caught up: the retried write re-anchors and is fresh.
-  ASSERT_TRUE(fx.selector->write_interface(0).try_write(make_token(8)));
+  ASSERT_TRUE(fx.selector->write_interface(R(0)).try_write(make_token(8)));
   drain();
   ASSERT_EQ(consumed.size(), 9u);
   for (std::uint64_t i = 0; i < consumed.size(); ++i) EXPECT_EQ(consumed[i], i);
@@ -401,27 +405,27 @@ TEST(NSelector, ResyncSideImmuneToStallAndDivergenceUntilReanchored) {
   std::uint64_t seq = 0;
   for (; seq < 4; ++seq) {
     for (int r = 0; r < 3; ++r) {
-      ASSERT_TRUE(fx.selector->write_interface(r).try_write(make_token(seq)));
+      ASSERT_TRUE(fx.selector->write_interface(R(r)).try_write(make_token(seq)));
     }
     while (fx.selector->try_read()) {
     }
   }
-  fx.selector->reintegrate(0);
+  fx.selector->reintegrate(R(0));
   // While the rejoined side refills its pipeline, its counters refer to the
   // pre-fault epoch: 8 more groups push its stale received count D+ behind
   // the leader and its space past capacity, yet neither rule may convict it.
   for (; seq < 12; ++seq) {
     for (int r = 1; r < 3; ++r) {
-      ASSERT_TRUE(fx.selector->write_interface(r).try_write(make_token(seq)));
+      ASSERT_TRUE(fx.selector->write_interface(R(r)).try_write(make_token(seq)));
     }
     while (fx.selector->try_read()) {
     }
   }
-  EXPECT_GT(fx.selector->space(0), 6);  // would trip the stall rule
-  EXPECT_FALSE(fx.selector->fault(0));
+  EXPECT_GT(fx.selector->space(R(0)), 6);  // would trip the stall rule
+  EXPECT_FALSE(fx.selector->fault(R(0)));
   // Its first write re-anchors and re-admits it.
-  ASSERT_TRUE(fx.selector->write_interface(0).try_write(make_token(seq)));
-  EXPECT_EQ(fx.selector->tokens_received(0), fx.selector->tokens_received(1) + 1);
+  ASSERT_TRUE(fx.selector->write_interface(R(0)).try_write(make_token(seq)));
+  EXPECT_EQ(fx.selector->tokens_received(R(0)), fx.selector->tokens_received(R(1)) + 1);
 }
 
 class NReplicaParam : public ::testing::TestWithParam<int> {};
@@ -442,7 +446,7 @@ TEST_P(NReplicaParam, AllButOneFaultTolerated) {
           r == n - 1 || group < 3 * (static_cast<std::uint64_t>(r) + 1);
       if (!alive) continue;
       ASSERT_TRUE(
-          fx.selector->write_interface(r).try_write(make_token(written[static_cast<std::size_t>(r)])));
+          fx.selector->write_interface(R(r)).try_write(make_token(written[static_cast<std::size_t>(r)])));
       written[static_cast<std::size_t>(r)] += 1;
       drain();
     }
@@ -450,7 +454,7 @@ TEST_P(NReplicaParam, AllButOneFaultTolerated) {
   const std::uint64_t total = 4 * static_cast<std::uint64_t>(n);
   ASSERT_EQ(consumed.size(), total);
   for (std::uint64_t i = 0; i < total; ++i) EXPECT_EQ(consumed[i], i);
-  EXPECT_FALSE(fx.selector->fault(n - 1));
+  EXPECT_FALSE(fx.selector->fault(R(n - 1)));
 }
 
 INSTANTIATE_TEST_SUITE_P(TwoToFive, NReplicaParam, ::testing::Values(2, 3, 4, 5));

@@ -219,10 +219,8 @@ TEST(Recovery, ReintegrationClearsDetectionState) {
 TEST(Recovery, SelectorResyncAlignsPairs) {
   sim::Simulator simulator;
   SelectorChannel selector(simulator, "sel",
-                           {.capacity1 = 4,
-                            .capacity2 = 4,
-                            .initial1 = 2,
-                            .initial2 = 2,
+                           {.capacities = {4, 4},
+                            .initials = {2, 2},
                             .divergence_threshold = 50,
                             .enable_stall_rule = false});
   auto& w1 = selector.write_interface(ReplicaIndex::kReplica1);

@@ -17,6 +17,22 @@ Token make_token(std::uint64_t seq) {
   return Token(std::vector<std::uint8_t>{static_cast<std::uint8_t>(seq)}, seq, 0);
 }
 
+/// Collects one channel's kDetection verdicts from the trace bus.
+struct DetectionRecorder final : trace::Sink {
+  sim::Simulator& sim;
+  trace::SubjectId subject;
+  std::vector<DetectionRecord> records;
+  DetectionRecorder(sim::Simulator& s, trace::SubjectId channel) : sim(s), subject(channel) {
+    sim.trace().subscribe(this, trace::bit(trace::EventKind::kDetection));
+  }
+  ~DetectionRecorder() override { sim.trace().unsubscribe(this); }
+  void on_event(const trace::Event& event) override {
+    if (event.subject != subject) return;
+    records.push_back(DetectionRecord{static_cast<ReplicaIndex>(event.a),
+                                      static_cast<DetectionRule>(event.b), event.time});
+  }
+};
+
 struct Fixture {
   sim::Simulator sim;
   kpn::Network net{sim};
@@ -24,7 +40,7 @@ struct Fixture {
 
   explicit Fixture(rtc::Tokens cap1 = 2, rtc::Tokens cap2 = 3) {
     replicator = &net.adopt_channel(std::make_unique<ReplicatorChannel>(
-        sim, "rep", ReplicatorChannel::Config{cap1, cap2, std::nullopt, std::nullopt}));
+        sim, "rep", ReplicatorChannel::Config{.capacities = {cap1, cap2}}));
   }
 };
 
@@ -71,9 +87,8 @@ TEST(Replicator, SpaceFillAccounting) {
 
 TEST(Replicator, OverflowDeclaresFaultAndStopsInsertion) {
   Fixture fx(2, 3);
-  std::vector<DetectionRecord> records;
-  fx.replicator->set_fault_observer(
-      [&](const DetectionRecord& r) { records.push_back(r); });
+  DetectionRecorder recorder(fx.sim, fx.replicator->trace_subject());
+  const std::vector<DetectionRecord>& records = recorder.records;
 
   // Nobody reads queue 1. Writes 1..2 fill it; write 3 finds space_1 == 0.
   EXPECT_TRUE(fx.replicator->try_write(make_token(0)));
@@ -173,7 +188,7 @@ TEST(Replicator, SlowConsumptionRateEventuallyFlagged) {
 
 TEST(Replicator, InvalidCapacitiesRejected) {
   sim::Simulator sim;
-  EXPECT_THROW(ReplicatorChannel(sim, "rep", {0, 1, std::nullopt, std::nullopt}),
+  EXPECT_THROW(ReplicatorChannel(sim, "rep", {.capacities = {0, 1}}),
                util::ContractViolation);
 }
 

@@ -19,6 +19,22 @@ Token make_token(std::uint64_t seq) {
                seq, 0);
 }
 
+/// Collects one channel's kDetection verdicts from the trace bus.
+struct DetectionRecorder final : trace::Sink {
+  sim::Simulator& sim;
+  trace::SubjectId subject;
+  std::vector<DetectionRecord> records;
+  DetectionRecorder(sim::Simulator& s, trace::SubjectId channel) : sim(s), subject(channel) {
+    sim.trace().subscribe(this, trace::bit(trace::EventKind::kDetection));
+  }
+  ~DetectionRecorder() override { sim.trace().unsubscribe(this); }
+  void on_event(const trace::Event& event) override {
+    if (event.subject != subject) return;
+    records.push_back(DetectionRecord{static_cast<ReplicaIndex>(event.a),
+                                      static_cast<DetectionRule>(event.b), event.time});
+  }
+};
+
 struct Fixture {
   sim::Simulator sim;
   kpn::Network net{sim};
@@ -31,10 +47,8 @@ struct Fixture {
 };
 
 SelectorChannel::Config basic_config() {
-  return SelectorChannel::Config{.capacity1 = 4,
-                                 .capacity2 = 6,
-                                 .initial1 = 2,
-                                 .initial2 = 3,
+  return SelectorChannel::Config{.capacities = {4, 6},
+                                 .initials = {2, 3},
                                  .divergence_threshold = 4};
 }
 
@@ -99,8 +113,8 @@ TEST(Selector, StallRuleFlagsLaggingReplica) {
   config.divergence_threshold = 0;  // only the stall rule active
   Fixture fx(config);
   auto& w2 = fx.selector->write_interface(ReplicaIndex::kReplica2);
-  std::vector<DetectionRecord> records;
-  fx.selector->set_fault_observer([&](const DetectionRecord& r) { records.push_back(r); });
+  DetectionRecorder recorder(fx.sim, fx.selector->trace_subject());
+  const std::vector<DetectionRecord>& records = recorder.records;
 
   // Replica 1 silent; replica 2 supplies, consumer drains. space_1 grows by
   // one per read; fault when space_1 > |S1| = 4, i.e. on the 3rd read.
@@ -118,8 +132,8 @@ TEST(Selector, DivergenceRuleFlagsSilentReplica) {
   config.enable_stall_rule = false;  // only the divergence rule active
   Fixture fx(config);
   auto& w2 = fx.selector->write_interface(ReplicaIndex::kReplica2);
-  std::vector<DetectionRecord> records;
-  fx.selector->set_fault_observer([&](const DetectionRecord& r) { records.push_back(r); });
+  DetectionRecorder recorder(fx.sim, fx.selector->trace_subject());
+  const std::vector<DetectionRecord>& records = recorder.records;
 
   // Replica 2 delivers; replica 1 silent. Fault when W2 - W1 >= D = 4.
   for (std::uint64_t k = 0; k < 4; ++k) {
@@ -226,10 +240,10 @@ TEST(Selector, MaxObservedFillExcludesPreload) {
 
 TEST(Selector, InvalidConfigRejected) {
   sim::Simulator sim;
-  EXPECT_THROW(SelectorChannel(sim, "s", {.capacity1 = 0, .capacity2 = 1}),
+  EXPECT_THROW(SelectorChannel(sim, "s", {.capacities = {0, 1}}),
                util::ContractViolation);
   EXPECT_THROW(SelectorChannel(sim, "s",
-                               {.capacity1 = 2, .capacity2 = 2, .initial1 = 3}),
+                               {.capacities = {2, 2}, .initials = {3, 0}}),
                util::ContractViolation);
 }
 

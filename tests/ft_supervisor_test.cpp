@@ -98,8 +98,7 @@ struct Rig {
     FaultCampaign::Wiring w;
     w.replicator = &harness->replicator();
     w.selector = &harness->selector();
-    w.processes[0] = {replicas[0]};
-    w.processes[1] = {replicas[1]};
+    w.processes = {{replicas[0]}, {replicas[1]}};
     return w;
   }
 
@@ -110,12 +109,6 @@ struct Rig {
   }
 };
 
-void wire(Supervisor& supervisor, FaultCampaign& campaign) {
-  campaign.set_injection_listener([&supervisor](const FaultInjectionRecord& rec) {
-    supervisor.note_fault_injected(rec.replica, rec.at);
-  });
-}
-
 TEST(Supervisor, SilenceFaultIsAutoRecoveredWithinTheAnalyticBound) {
   Rig rig;
   Supervisor supervisor(rig.simulator, rig.harness->replicator(),
@@ -124,7 +117,6 @@ TEST(Supervisor, SilenceFaultIsAutoRecoveredWithinTheAnalyticBound) {
                          .initial_backoff = rtc::from_ms(20.0),
                          .detection_latency_bound = rig.detection_bound()});
   FaultCampaign campaign(rig.simulator, rig.wiring());
-  wire(supervisor, campaign);
   campaign.add({.kind = FaultKind::kPermanentSilence,
                 .replica = ReplicaIndex::kReplica1,
                 .at = rtc::from_ms(300.0)});
@@ -188,7 +180,6 @@ TEST(Supervisor, RepeatedFaultsAreEachRecoveredUntilBudgetLasts) {
                         {.restart_budget = 3,
                          .initial_backoff = rtc::from_ms(20.0)});
   FaultCampaign campaign(rig.simulator, rig.wiring());
-  wire(supervisor, campaign);
   campaign.add({.kind = FaultKind::kPermanentSilence,
                 .replica = ReplicaIndex::kReplica1,
                 .at = rtc::from_ms(300.0)});
@@ -217,7 +208,6 @@ TEST(Supervisor, ExhaustedBudgetDegradesGracefullyAndNetworkKeepsDraining) {
                         {.restart_budget = 1,
                          .initial_backoff = rtc::from_ms(20.0)});
   FaultCampaign campaign(rig.simulator, rig.wiring());
-  wire(supervisor, campaign);
   campaign.add({.kind = FaultKind::kPermanentSilence,
                 .replica = ReplicaIndex::kReplica1,
                 .at = rtc::from_ms(300.0)});
@@ -259,7 +249,6 @@ TEST(Supervisor, PersistentCorruptionFlapsUntilDegradedWithZeroFalseConvictions)
                         {.restart_budget = 2,
                          .initial_backoff = rtc::from_ms(20.0)});
   FaultCampaign campaign(rig.simulator, rig.wiring());
-  wire(supervisor, campaign);
   // Corruption with no end time: the tamper survives restarts (the "repair"
   // does not fix the broken core), so the replica flaps until its budget is
   // gone and it is retired.
@@ -293,7 +282,6 @@ TEST(Supervisor, TransientFaultBelowDetectionRadarNeedsNoRestart) {
                         {.restart_budget = 3,
                          .initial_backoff = rtc::from_ms(20.0)});
   FaultCampaign campaign(rig.simulator, rig.wiring());
-  wire(supervisor, campaign);
   // A 15 ms hiccup is absorbed by the queues sized per Eq. (3)-(5): no
   // detection rule fires, so the supervisor must stay entirely quiet.
   campaign.add({.kind = FaultKind::kTransientSilence,
@@ -375,7 +363,6 @@ TEST(Supervisor, HangSwallowsTheDetectionUntilTheWatchdogResets) {
   FaultCampaign::Wiring wiring = rig.wiring();
   wiring.supervisor = &supervisor;
   FaultCampaign campaign(rig.simulator, wiring);
-  wire(supervisor, campaign);
   // The supervisor hangs permanently (duration 0: software never clears it)
   // just before R1 falls silent. The detection fires into a deaf supervisor;
   // only the watchdog reset can revive it and re-drive the standing verdict.
