@@ -3,12 +3,12 @@
 // For each N, runs a synthetic pipeline campaign: kills replicas one by one
 // (N-1 sequential silence faults) and reports detection latency of each
 // fault, stream integrity, and the memory cost of the extra queues.
+#include <algorithm>
 #include <iostream>
 #include <vector>
 
+#include "ft/framework.hpp"
 #include "ft/nreplica.hpp"
-#include "ft/replicator.hpp"
-#include "ft/selector.hpp"
 #include "kpn/network.hpp"
 #include "kpn/timing.hpp"
 #include "util/stats.hpp"
@@ -65,20 +65,8 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
   result.cost = ft::replication_cost(sizing, /*token_bytes=*/8);
 
   std::vector<rtc::TimeNs> fault_times;
-  // First verdict per replica, from either channel's kDetection events.
-  struct FirstDetections final : trace::Sink {
-    std::vector<std::optional<rtc::TimeNs>> at;
-    trace::SubjectId replicator = 0, selector = 0;
-    void on_event(const trace::Event& event) override {
-      if (event.subject != replicator && event.subject != selector) return;
-      auto& slot = at[static_cast<std::size_t>(event.a)];
-      if (!slot) slot = event.time;
-    }
-  } first;
-  first.at.resize(static_cast<std::size_t>(n));
-  first.replicator = replicator.trace_subject();
-  first.selector = selector.trace_subject();
-  simulator.trace().subscribe(&first, trace::bit(trace::EventKind::kDetection));
+  const ft::DetectionLogSink detections(
+      simulator.trace(), {replicator.trace_subject(), selector.trace_subject()});
 
   net.add_process("producer", scc::CoreId{0}, seed + 1,
                   [&](kpn::ProcessContext& ctx) -> sim::Task {
@@ -142,12 +130,16 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
 
   net.run_until(rtc::from_ms(400.0 + 500.0 * n));
   net.rethrow_failures();
-  simulator.trace().unsubscribe(&first);
 
+  const auto& records = detections.log().records;
   for (int r = 0; r + 1 < n; ++r) {
-    if (const auto& at = first.at[static_cast<std::size_t>(r)]) {
+    const auto first = std::find_if(records.begin(), records.end(), [r](const auto& d) {
+      return ft::index_of(d.replica) == r;
+    });
+    if (first != records.end()) {
       ++result.detections;
-      result.latencies_ms.add(rtc::to_ms(*at - fault_times[static_cast<std::size_t>(r)]));
+      result.latencies_ms.add(
+          rtc::to_ms(first->detected_at - fault_times[static_cast<std::size_t>(r)]));
     }
   }
   return result;

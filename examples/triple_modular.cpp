@@ -54,7 +54,8 @@ int main() {
                                   .divergence_threshold = sizing.divergence_threshold}));
 
   // Both channels publish their verdicts on the trace bus.
-  const ft::DetectionLogSink detections(simulator.trace(), replicator, selector);
+  const ft::DetectionLogSink detections(
+      simulator.trace(), {replicator.trace_subject(), selector.trace_subject()});
 
   net.add_process("producer", scc::CoreId{0}, 1,
                   [&](kpn::ProcessContext& ctx) -> sim::Task {

@@ -57,18 +57,17 @@ std::optional<DetectionRecord> DetectionLog::first_selector() const {
 }
 
 DetectionLogSink::DetectionLogSink(trace::TraceBus& bus,
-                                   const ReplicatorChannel& replicator,
-                                   const SelectorChannel& selector)
-    : bus_(bus),
-      replicator_(replicator.trace_subject()),
-      selector_(selector.trace_subject()) {
+                                   std::vector<trace::SubjectId> channels)
+    : bus_(bus), channels_(std::move(channels)) {
   bus_.subscribe(this, trace::bit(trace::EventKind::kDetection));
 }
 
 DetectionLogSink::~DetectionLogSink() { bus_.unsubscribe(this); }
 
 void DetectionLogSink::on_event(const trace::Event& event) {
-  if (event.subject != replicator_ && event.subject != selector_) return;
+  if (std::find(channels_.begin(), channels_.end(), event.subject) == channels_.end()) {
+    return;
+  }
   log_.records.push_back(DetectionRecord{static_cast<ReplicaIndex>(event.a),
                                          static_cast<DetectionRule>(event.b),
                                          event.time});
@@ -130,7 +129,8 @@ FaultTolerantHarness::FaultTolerantHarness(kpn::Network& network, Config config)
     selector_->preload_initial_tokens(config.initial_token);
   }
 
-  detections_.emplace(network.simulator().trace(), *replicator_, *selector_);
+  detections_.emplace(network.simulator().trace(),
+                      std::vector{replicator_->trace_subject(), selector_->trace_subject()});
 }
 
 rtc::TimeNs NReplicaHarness::Config::default_horizon() const {
@@ -195,7 +195,8 @@ NReplicaHarness::NReplicaHarness(kpn::Network& network, Config config) {
   selector_ = &network.adopt_channel(std::make_unique<SelectorChannel>(
       network.simulator(), config.name_prefix + ".selector",
       std::move(selector_config)));
-  detections_.emplace(network.simulator().trace(), *replicator_, *selector_);
+  detections_.emplace(network.simulator().trace(),
+                      std::vector{replicator_->trace_subject(), selector_->trace_subject()});
 }
 
 std::optional<rtc::TimeNs> FaultTolerantHarness::first_detection_latency() const {

@@ -53,14 +53,14 @@ struct DetectionLog {
   [[nodiscard]] std::optional<DetectionRecord> first_selector() const;
 };
 
-/// The harnesses' single bus subscription: appends every kDetection verdict
-/// of one replicator/selector pair to a DetectionLog, synchronously and in
-/// emission order. Subscribed right after the pair is built, so the log is
-/// complete before a later subscriber (a Supervisor) acts on the verdict.
+/// Appends every kDetection verdict emitted under the given channel subjects
+/// to a DetectionLog, synchronously and in emission order: the harnesses'
+/// single bus subscription. Subscribed right after the channels are built,
+/// so the log is complete before a later subscriber (a Supervisor) acts on
+/// the verdict.
 class DetectionLogSink final : public trace::Sink {
  public:
-  DetectionLogSink(trace::TraceBus& bus, const ReplicatorChannel& replicator,
-                   const SelectorChannel& selector);
+  DetectionLogSink(trace::TraceBus& bus, std::vector<trace::SubjectId> channels);
   ~DetectionLogSink() override;
 
   DetectionLogSink(const DetectionLogSink&) = delete;
@@ -71,8 +71,7 @@ class DetectionLogSink final : public trace::Sink {
 
  private:
   trace::TraceBus& bus_;
-  trace::SubjectId replicator_;
-  trace::SubjectId selector_;
+  std::vector<trace::SubjectId> channels_;
   DetectionLog log_;
 };
 

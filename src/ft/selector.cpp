@@ -101,7 +101,7 @@ void SelectorChannel::preload_initial_tokens(const kpn::Token& token) {
   }
 }
 
-const SelectorChannel::Side* SelectorChannel::resync_anchor(std::size_t i) const {
+const SelectorChannel::Side& SelectorChannel::resync_anchor(std::size_t i) const {
   const Side* anchor = nullptr;
   for (std::size_t j = 0; j < sides_.size(); ++j) {
     if (j == i) continue;
@@ -113,7 +113,7 @@ const SelectorChannel::Side* SelectorChannel::resync_anchor(std::size_t i) const
          candidate.tokens_received > anchor->tokens_received);
     if (better) anchor = &candidate;
   }
-  return anchor;
+  return *anchor;  // N >= 2: side i always has a peer
 }
 
 const SelectorChannel::Side* SelectorChannel::frontier_leader(std::size_t i) const {
@@ -220,7 +220,7 @@ bool SelectorChannel::side_try_write(ReplicaIndex r, const kpn::Token& token) {
     side.resync_pending = false;
     side.count_resync_pending = false;
     side.space = side.capacity - side.initial;
-    const Side& anchor = *resync_anchor(i);
+    const Side& anchor = resync_anchor(i);
     if (anchor.tokens_received > 0) {
       side.tokens_received =
           anchored_count(anchor.tokens_received, anchor.last_seq, token.seq());
@@ -230,7 +230,7 @@ bool SelectorChannel::side_try_write(ReplicaIndex r, const kpn::Token& token) {
     // healthy token's sequence number restores the exact group alignment
     // (same formula as post-recovery resync, but the space counter — which
     // tracked every arrival, quarantined or not — is left alone).
-    const Side& anchor = *resync_anchor(i);
+    const Side& anchor = resync_anchor(i);
     if (anchor.tokens_received > 0) {
       side.count_resync_pending = false;
       side.tokens_received =

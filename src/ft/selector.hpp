@@ -302,9 +302,8 @@ class SelectorChannel final : public kpn::ChannelBase,
     return sides_[static_cast<std::size_t>(index_of(r))];
   }
   /// The most advanced peer of side i by received count, preferring peers
-  /// whose counters are not awaiting a post-recovery resync (nullptr if N
-  /// has no peer, which the constructor rules out).
-  [[nodiscard]] const Side* resync_anchor(std::size_t i) const;
+  /// whose counters are not awaiting a post-recovery resync.
+  [[nodiscard]] const Side& resync_anchor(std::size_t i) const;
   /// The healthy, non-resyncing peer of side i with the highest received
   /// count: the owner of the delivered frontier a rejoining side must meet.
   [[nodiscard]] const Side* frontier_leader(std::size_t i) const;

@@ -84,8 +84,8 @@ TEST(Fingerprint, ChaosStormRun) {
 }
 
 // --- N >= 3 payload-vote rig ---------------------------------------------
-// Captured while N >= 3 ran on its own channel classes: they are the
-// differential oracle for the single replicator/selector family at any N.
+// Event counts, delivered streams, vote counters and channel convictions of
+// the unsupervised vote rig, plus one vote-rig vulnerability profile.
 
 /// Everything the N-replica pins compare, one struct per run.
 struct NStormPin {

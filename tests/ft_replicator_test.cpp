@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "ft/framework.hpp"
 #include "ft/replicator.hpp"
 #include "kpn/network.hpp"
 #include "kpn/process.hpp"
@@ -16,22 +17,6 @@ using kpn::Token;
 Token make_token(std::uint64_t seq) {
   return Token(std::vector<std::uint8_t>{static_cast<std::uint8_t>(seq)}, seq, 0);
 }
-
-/// Collects one channel's kDetection verdicts from the trace bus.
-struct DetectionRecorder final : trace::Sink {
-  sim::Simulator& sim;
-  trace::SubjectId subject;
-  std::vector<DetectionRecord> records;
-  DetectionRecorder(sim::Simulator& s, trace::SubjectId channel) : sim(s), subject(channel) {
-    sim.trace().subscribe(this, trace::bit(trace::EventKind::kDetection));
-  }
-  ~DetectionRecorder() override { sim.trace().unsubscribe(this); }
-  void on_event(const trace::Event& event) override {
-    if (event.subject != subject) return;
-    records.push_back(DetectionRecord{static_cast<ReplicaIndex>(event.a),
-                                      static_cast<DetectionRule>(event.b), event.time});
-  }
-};
 
 struct Fixture {
   sim::Simulator sim;
@@ -87,8 +72,8 @@ TEST(Replicator, SpaceFillAccounting) {
 
 TEST(Replicator, OverflowDeclaresFaultAndStopsInsertion) {
   Fixture fx(2, 3);
-  DetectionRecorder recorder(fx.sim, fx.replicator->trace_subject());
-  const std::vector<DetectionRecord>& records = recorder.records;
+  const DetectionLogSink sink(fx.sim.trace(), {fx.replicator->trace_subject()});
+  const std::vector<DetectionRecord>& records = sink.log().records;
 
   // Nobody reads queue 1. Writes 1..2 fill it; write 3 finds space_1 == 0.
   EXPECT_TRUE(fx.replicator->try_write(make_token(0)));

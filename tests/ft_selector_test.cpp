@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "ft/framework.hpp"
 #include "ft/selector.hpp"
 #include "kpn/network.hpp"
 #include "kpn/process.hpp"
@@ -18,22 +19,6 @@ Token make_token(std::uint64_t seq) {
                                          static_cast<std::uint8_t>(seq >> 8)},
                seq, 0);
 }
-
-/// Collects one channel's kDetection verdicts from the trace bus.
-struct DetectionRecorder final : trace::Sink {
-  sim::Simulator& sim;
-  trace::SubjectId subject;
-  std::vector<DetectionRecord> records;
-  DetectionRecorder(sim::Simulator& s, trace::SubjectId channel) : sim(s), subject(channel) {
-    sim.trace().subscribe(this, trace::bit(trace::EventKind::kDetection));
-  }
-  ~DetectionRecorder() override { sim.trace().unsubscribe(this); }
-  void on_event(const trace::Event& event) override {
-    if (event.subject != subject) return;
-    records.push_back(DetectionRecord{static_cast<ReplicaIndex>(event.a),
-                                      static_cast<DetectionRule>(event.b), event.time});
-  }
-};
 
 struct Fixture {
   sim::Simulator sim;
@@ -113,8 +98,8 @@ TEST(Selector, StallRuleFlagsLaggingReplica) {
   config.divergence_threshold = 0;  // only the stall rule active
   Fixture fx(config);
   auto& w2 = fx.selector->write_interface(ReplicaIndex::kReplica2);
-  DetectionRecorder recorder(fx.sim, fx.selector->trace_subject());
-  const std::vector<DetectionRecord>& records = recorder.records;
+  const DetectionLogSink sink(fx.sim.trace(), {fx.selector->trace_subject()});
+  const std::vector<DetectionRecord>& records = sink.log().records;
 
   // Replica 1 silent; replica 2 supplies, consumer drains. space_1 grows by
   // one per read; fault when space_1 > |S1| = 4, i.e. on the 3rd read.
@@ -132,8 +117,8 @@ TEST(Selector, DivergenceRuleFlagsSilentReplica) {
   config.enable_stall_rule = false;  // only the divergence rule active
   Fixture fx(config);
   auto& w2 = fx.selector->write_interface(ReplicaIndex::kReplica2);
-  DetectionRecorder recorder(fx.sim, fx.selector->trace_subject());
-  const std::vector<DetectionRecord>& records = recorder.records;
+  const DetectionLogSink sink(fx.sim.trace(), {fx.selector->trace_subject()});
+  const std::vector<DetectionRecord>& records = sink.log().records;
 
   // Replica 2 delivers; replica 1 silent. Fault when W2 - W1 >= D = 4.
   for (std::uint64_t k = 0; k < 4; ++k) {
