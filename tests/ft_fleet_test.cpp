@@ -257,6 +257,81 @@ TEST(Fleet, MixedProtectionRunSurvivesInjectedSilence) {
   EXPECT_TRUE(pair.detected);
 }
 
+FleetSpec mixed_fleet() {
+  FleetSpec spec;
+  spec.streams = 5;
+  spec.protection = {3, 1, 2, 1, 4};
+  return spec;
+}
+
+TEST(FleetSpec, MixedProtectionPlacementRequestPinned) {
+  // The full request, in order: placement is greedy over process and edge
+  // order, so names, MPB demands, anti-affinity groups and the edge sequence
+  // are all part of the contract. Pair replicas hold |R_i| and the consumer
+  // both |S_i|; vote replicas hold |R_i| + |S_i| (vote floor applied) and
+  // the consumer nothing.
+  const FleetSpec spec = mixed_fleet();
+  const auto request = build_placement_request(spec, spec.materialize());
+  const std::vector<scc::PlacementProcess> processes{
+      {"s0.producer", 0, -1, 0},    {"s0.r1", 0, 0, 8192},
+      {"s0.r2", 0, 0, 8192},        {"s0.r3", 0, 0, 8192},
+      {"s0.consumer", 0, -1, 0},    {"s1.producer", 1, -1, 0},
+      {"s1.worker", 1, -1, 2048},   {"s1.consumer", 1, -1, 2048},
+      {"s2.producer", 2, -1, 0},    {"s2.r1", 2, 2, 2048},
+      {"s2.r2", 2, 2, 2048},        {"s2.consumer", 2, -1, 8192},
+      {"s3.producer", 3, -1, 0},    {"s3.worker", 3, -1, 2048},
+      {"s3.consumer", 3, -1, 2048}, {"s4.producer", 4, -1, 0},
+      {"s4.r1", 4, 4, 8192},        {"s4.r2", 4, 4, 8192},
+      {"s4.r3", 4, 4, 8192},        {"s4.r4", 4, 4, 8192},
+      {"s4.consumer", 4, -1, 0}};
+  ASSERT_EQ(request.processes.size(), processes.size());
+  for (std::size_t i = 0; i < processes.size(); ++i) {
+    EXPECT_EQ(request.processes[i].name, processes[i].name) << i;
+    EXPECT_EQ(request.processes[i].stream, processes[i].stream) << i;
+    EXPECT_EQ(request.processes[i].anti_affinity_group,
+              processes[i].anti_affinity_group) << i;
+    EXPECT_EQ(request.processes[i].mpb_bytes, processes[i].mpb_bytes) << i;
+  }
+  const std::vector<scc::TrafficEdge> edges{
+      {0, 1, 173056},   {1, 4, 173056},   {0, 2, 173056},   {2, 4, 173056},
+      {0, 3, 173056},   {3, 4, 173056},   {5, 6, 185344},   {6, 7, 185344},
+      {8, 9, 206848},   {8, 10, 206848},  {9, 11, 206848},  {10, 11, 206848},
+      {12, 13, 251904}, {13, 14, 251904}, {15, 16, 282624}, {16, 20, 282624},
+      {15, 17, 282624}, {17, 20, 282624}, {15, 18, 282624}, {18, 20, 282624},
+      {15, 19, 282624}, {19, 20, 282624}};
+  ASSERT_EQ(request.edges.size(), edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(request.edges[i].from_process, edges[i].from_process) << i;
+    EXPECT_EQ(request.edges[i].to_process, edges[i].to_process) << i;
+    EXPECT_EQ(request.edges[i].bytes_per_period, edges[i].bytes_per_period) << i;
+  }
+  EXPECT_EQ(request.max_processes_per_core, 0);
+}
+
+TEST(Fleet, MixedProtectionSizingPinned) {
+  // Designed capacities and detection bounds each stream reports: the
+  // largest |R_i|, the sum of the |S_i| the selector was built with (vote
+  // floor included at N >= 3), and min(overflow, selector) Eq. (6)-(8)
+  // bound. Plain pipelines report their Eq. (3) FIFO and no bound.
+  const auto result = run_fleet(mixed_fleet(), quick_options());
+  struct Expected {
+    rtc::Tokens replicator_capacity;
+    rtc::Tokens selector_capacity;
+    rtc::TimeNs detection_bound;
+  };
+  const std::vector<Expected> expected{{2, 18, 18'448'256},
+                                       {2, 2, 0},
+                                       {2, 8, 15'427'140},
+                                       {2, 2, 0},
+                                       {2, 24, 11'309'928}};
+  ASSERT_EQ(result.streams.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(result.streams[i].replicator_capacity, expected[i].replicator_capacity) << i;
+    EXPECT_EQ(result.streams[i].selector_capacity, expected[i].selector_capacity) << i;
+    EXPECT_EQ(result.streams[i].detection_bound, expected[i].detection_bound) << i;
+  }
+}
+
 TEST(Fleet, OversubscribedFleetThrowsPlacementError) {
   FleetSpec spec;
   spec.streams = 96;

@@ -72,6 +72,22 @@ TEST(SizingPaperNumbers, H264BoundsAsymmetric) {
   EXPECT_GT(report.selector_threshold, 1);
 }
 
+// ---- Replicator-side Eq. (5)/(7): thresholds and bounds, pinned exactly ----
+TEST(SizingPaperNumbers, ReplicatorDivergencePinned) {
+  // The replicas' consumption curves equal their production curves in all
+  // three Table 1 rows, so the replicator-side D and divergence-rule bound
+  // match the selector side (ADPCM: 12.6 + 9 * 6.3 = 69.3 ms).
+  const auto mjpeg = analyze(apps::mjpeg::make_application());
+  EXPECT_EQ(mjpeg.replicator_threshold, 4);
+  EXPECT_EQ(mjpeg.replicator_divergence_bound, from_ms(240.0));
+  const auto adpcm = analyze(apps::adpcm::make_application());
+  EXPECT_EQ(adpcm.replicator_threshold, 5);
+  EXPECT_EQ(adpcm.replicator_divergence_bound, from_ms(69.3));
+  const auto h264 = analyze(apps::h264::make_application());
+  EXPECT_EQ(h264.replicator_threshold, 3);
+  EXPECT_EQ(h264.replicator_divergence_bound, from_ms(170.0));
+}
+
 // ---- Eq. (3): FIFO capacity -------------------------------------------------
 TEST(MinFifoCapacity, EqualRatesYieldSmallBuffer) {
   const PJD producer = PJD::from_ms(10, 1, 10);

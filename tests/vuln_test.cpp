@@ -9,6 +9,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ft/fault_plan.hpp"
@@ -274,6 +275,52 @@ TEST(VulnPlanner, ProcessCostPinnedPerLevel) {
   for (const ProcessSpec& other : app.processes) {
     EXPECT_EQ(process_cost(other, 2), process_cost(spec, 2)) << other.name;
   }
+}
+
+TEST(VulnPlanner, MixedProtectionPlacementRequestPinned) {
+  // The planner's feasibility check places the same per-stream layout the
+  // fleet builds; pinned in full (order matters to the greedy placer).
+  const Application app = reference_application();
+  const auto request = build_placement_request(app, {1, 2, 3, 4, 1, 2, 3, 1});
+  const std::vector<scc::PlacementProcess> processes{
+      {"telemetry0.producer", 0, -1, 0}, {"telemetry0.stage", 0, -1, 16},
+      {"telemetry0.consumer", 0, -1, 16}, {"telemetry1.producer", 1, -1, 0},
+      {"telemetry1.r1", 1, 1, 16},        {"telemetry1.r2", 1, 1, 16},
+      {"telemetry1.consumer", 1, -1, 64}, {"telemetry2.producer", 2, -1, 0},
+      {"telemetry2.r1", 2, 2, 64},        {"telemetry2.r2", 2, 2, 64},
+      {"telemetry2.r3", 2, 2, 64},        {"telemetry2.consumer", 2, -1, 0},
+      {"telemetry3.producer", 3, -1, 0},  {"telemetry3.r1", 3, 3, 64},
+      {"telemetry3.r2", 3, 3, 64},        {"telemetry3.r3", 3, 3, 64},
+      {"telemetry3.r4", 3, 3, 64},        {"telemetry3.consumer", 3, -1, 0},
+      {"actuation0.producer", 4, -1, 0},  {"actuation0.stage", 4, -1, 16},
+      {"actuation0.consumer", 4, -1, 16}, {"actuation1.producer", 5, -1, 0},
+      {"actuation1.r1", 5, 5, 16},        {"actuation1.r2", 5, 5, 16},
+      {"actuation1.consumer", 5, -1, 64}, {"ledger.producer", 6, -1, 0},
+      {"ledger.r1", 6, 6, 64},            {"ledger.r2", 6, 6, 64},
+      {"ledger.r3", 6, 6, 64},            {"ledger.consumer", 6, -1, 0},
+      {"guidance.producer", 7, -1, 0},    {"guidance.stage", 7, -1, 16},
+      {"guidance.consumer", 7, -1, 16}};
+  ASSERT_EQ(request.processes.size(), processes.size());
+  for (std::size_t i = 0; i < processes.size(); ++i) {
+    EXPECT_EQ(request.processes[i].name, processes[i].name) << i;
+    EXPECT_EQ(request.processes[i].stream, processes[i].stream) << i;
+    EXPECT_EQ(request.processes[i].anti_affinity_group,
+              processes[i].anti_affinity_group) << i;
+    EXPECT_EQ(request.processes[i].mpb_bytes, processes[i].mpb_bytes) << i;
+  }
+  const std::vector<std::pair<int, int>> edges{
+      {0, 1},   {1, 2},   {3, 4},   {3, 5},   {4, 6},   {5, 6},   {7, 8},
+      {8, 11},  {7, 9},   {9, 11},  {7, 10},  {10, 11}, {12, 13}, {13, 17},
+      {12, 14}, {14, 17}, {12, 15}, {15, 17}, {12, 16}, {16, 17}, {18, 19},
+      {19, 20}, {21, 22}, {21, 23}, {22, 24}, {23, 24}, {25, 26}, {26, 29},
+      {25, 27}, {27, 29}, {25, 28}, {28, 29}, {30, 31}, {31, 32}};
+  ASSERT_EQ(request.edges.size(), edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(request.edges[i].from_process, edges[i].first) << i;
+    EXPECT_EQ(request.edges[i].to_process, edges[i].second) << i;
+    EXPECT_EQ(request.edges[i].bytes_per_period, 800u) << i;
+  }
+  EXPECT_EQ(request.max_processes_per_core, 1);
 }
 
 TEST(VulnPlanner, RejectsMismatchedProfile) {
