@@ -31,10 +31,9 @@ apps::ApplicationSpec make_scaled_adpcm(int samples, double period_ms) {
 
   const double scale = period_ms / 6.3;
   app.timing.producer = rtc::PJD::from_ms(period_ms, 0.1 * scale, period_ms);
-  app.timing.replica1_in = rtc::PJD::from_ms(period_ms, 0.8 * scale, period_ms);
-  app.timing.replica1_out = rtc::PJD::from_ms(period_ms, 0.8 * scale, period_ms);
-  app.timing.replica2_in = rtc::PJD::from_ms(period_ms, 2.0 * period_ms, period_ms);
-  app.timing.replica2_out = rtc::PJD::from_ms(period_ms, 2.0 * period_ms, period_ms);
+  app.timing.replica_in = app.timing.replica_out = {
+      rtc::PJD::from_ms(period_ms, 0.8 * scale, period_ms),
+      rtc::PJD::from_ms(period_ms, 2.0 * period_ms, period_ms)};
   app.timing.consumer = rtc::PJD::from_ms(period_ms, 0.1 * scale, period_ms);
 
   app.make_input = [samples](std::uint64_t index) -> apps::Bytes {

@@ -30,25 +30,14 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
   sim::Simulator simulator;
   kpn::Network net(simulator);
 
-  const auto producer_model = rtc::PJD::from_ms(10, 1, 10);
-  const auto consumer_model = rtc::PJD::from_ms(10, 1, 10);
-  std::vector<rtc::PJD> replica_models;
+  ft::AppTimingSpec timing;
+  timing.producer = rtc::PJD::from_ms(10, 1, 10);
+  timing.consumer = rtc::PJD::from_ms(10, 1, 10);
   for (int r = 0; r < n; ++r) {
-    replica_models.push_back(rtc::PJD::from_ms(10, 2.0 + 3.0 * r, 10));
+    timing.replica_in.push_back(rtc::PJD::from_ms(10, 2.0 + 3.0 * r, 10));
   }
-
-  ft::NReplicaTimingModel model;
-  model.producer_upper = rtc::make_curve<rtc::PJDUpperCurve>(producer_model);
-  model.producer_lower = rtc::make_curve<rtc::PJDLowerCurve>(producer_model);
-  model.consumer_upper = rtc::make_curve<rtc::PJDUpperCurve>(consumer_model);
-  model.consumer_lower = rtc::make_curve<rtc::PJDLowerCurve>(consumer_model);
-  for (const auto& pjd : replica_models) {
-    model.in_upper.push_back(rtc::make_curve<rtc::PJDUpperCurve>(pjd));
-    model.in_lower.push_back(rtc::make_curve<rtc::PJDLowerCurve>(pjd));
-    model.out_upper.push_back(rtc::make_curve<rtc::PJDUpperCurve>(pjd));
-    model.out_lower.push_back(rtc::make_curve<rtc::PJDLowerCurve>(pjd));
-  }
-  const auto sizing = ft::analyze_n_replica_network(model, rtc::from_sec(3.0));
+  timing.replica_out = timing.replica_in;
+  const auto sizing = rtc::analyze_duplicated_network(timing.to_model(), rtc::from_sec(3.0));
 
   auto& replicator = net.adopt_channel(std::make_unique<ft::ReplicatorChannel>(
       simulator, "replicator",
@@ -57,12 +46,12 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
       simulator, "selector",
       ft::SelectorChannel::Config{.capacities = sizing.selector_capacity,
                                   .initials = sizing.selector_initial,
-                                  .divergence_threshold = sizing.divergence_threshold}));
+                                  .divergence_threshold = sizing.selector_threshold}));
 
   NRunResult result;
   // Shared cost model (cores, MPB bytes, NoC links); the token payload here
   // is 8 bytes.
-  result.cost = ft::replication_cost(sizing, /*token_bytes=*/8);
+  result.cost = ft::replication_cost(sizing, /*payload_vote=*/false, /*token_bytes=*/8);
 
   std::vector<rtc::TimeNs> fault_times;
   const ft::DetectionLogSink detections(
@@ -70,7 +59,7 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
 
   net.add_process("producer", scc::CoreId{0}, seed + 1,
                   [&](kpn::ProcessContext& ctx) -> sim::Task {
-                    kpn::TimingShaper shaper(producer_model, 0, ctx.rng());
+                    kpn::TimingShaper shaper(timing.producer, 0, ctx.rng());
                     for (std::uint64_t k = 0;; ++k) {
                       const rtc::TimeNs t = shaper.next_emission(ctx.now());
                       if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
@@ -85,7 +74,7 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
   for (int r = 0; r < n; ++r) {
     replicas.push_back(&net.add_process(
         "replica" + std::to_string(r), scc::CoreId{2 * (r + 1)}, seed + 10 + r,
-        [&, r, pjd = replica_models[static_cast<std::size_t>(r)]](
+        [&, r, pjd = timing.replica_out[static_cast<std::size_t>(r)]](
             kpn::ProcessContext& ctx) -> sim::Task {
           kpn::TimingShaper emit(pjd, 0, ctx.rng());
           while (true) {
@@ -105,7 +94,7 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
   std::uint64_t next_expected = 0;
   net.add_process("consumer", scc::CoreId{20}, seed + 99,
                   [&](kpn::ProcessContext& ctx) -> sim::Task {
-                    kpn::TimingShaper shaper(consumer_model, 0, ctx.rng());
+                    kpn::TimingShaper shaper(timing.consumer, 0, ctx.rng());
                     while (true) {
                       const rtc::TimeNs t = shaper.next_emission(ctx.now());
                       if (t > ctx.now()) co_await ctx.delay(t - ctx.now());

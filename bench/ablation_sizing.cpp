@@ -20,20 +20,20 @@ int main() {
 
   const auto analyzed = rtc::analyze_duplicated_network(
       runner.app().timing.to_model(), runner.app().timing.default_horizon());
-  std::cout << "Analyzed Eq. (3) capacities: |R1| = " << analyzed.replicator_capacity1
-            << ", |R2| = " << analyzed.replicator_capacity2 << "\n\n";
+  std::cout << "Analyzed Eq. (3) capacities: |R1| = " << analyzed.replicator_capacity[0]
+            << ", |R2| = " << analyzed.replicator_capacity[1] << "\n\n";
 
   util::Table table("Ablation C: replicator capacity override (MJPEG, 20+20 runs)");
   table.set_header({"|R| override", "Replicator latency (min/mean/max)", "Detections",
                     "False positives"});
 
-  for (rtc::Tokens cap = 1; cap <= analyzed.replicator_capacity2 + 3; ++cap) {
+  for (rtc::Tokens cap = 1; cap <= analyzed.replicator_capacity[1] + 3; ++cap) {
     auto options = base;
     options.replicator_capacity_override = cap;
     const auto faults =
         bench::run_fault_campaign(runner, options, ft::ReplicaIndex::kReplica2);
     const auto clean = bench::run_fault_free_campaign(runner, options);
-    const bool is_analyzed = cap == analyzed.replicator_capacity2;
+    const bool is_analyzed = cap == analyzed.replicator_capacity[1];
     table.add_row({std::to_string(cap) + (is_analyzed ? " *" : ""),
                    bench::stat_row(faults.replicator_latency_ms),
                    std::to_string(faults.detected) + "/" + std::to_string(bench::kRuns),

@@ -80,16 +80,15 @@ RunOutcome run_once(const Scenario& scenario, std::uint64_t seed) {
 
   ft::AppTimingSpec timing;
   timing.producer = rtc::PJD::from_ms(10, 1, 10);
-  timing.replica1_in = timing.replica1_out = rtc::PJD::from_ms(10, 2, 10);
-  timing.replica2_in = timing.replica2_out = rtc::PJD::from_ms(10, 6, 10);
+  timing.replica_in = timing.replica_out = {rtc::PJD::from_ms(10, 2, 10),
+                                            rtc::PJD::from_ms(10, 6, 10)};
   timing.consumer = rtc::PJD::from_ms(10, 1, 10);
 
   ft::FaultTolerantHarness::Config config{.timing = timing};
   if (with_noc) {
     config.platform = &*platform;
     config.producer_core = scc::CoreId{0};
-    config.replica1_in_core = config.replica1_out_core = scc::CoreId{2};
-    config.replica2_in_core = config.replica2_out_core = scc::CoreId{4};
+    config.replica_in_cores = config.replica_out_cores = {scc::CoreId{2}, scc::CoreId{4}};
     config.consumer_core = scc::CoreId{6};
   }
   ft::FaultTolerantHarness harness(net, config);
@@ -143,10 +142,10 @@ RunOutcome run_once(const Scenario& scenario, std::uint64_t seed) {
   std::vector<kpn::Process*> replicas;
   replicas.push_back(&net.add_process(
       "r1", scc::CoreId{2}, seed * 10 + 2,
-      replica_body(ft::ReplicaIndex::kReplica1, timing.replica1_out)));
+      replica_body(ft::ReplicaIndex::kReplica1, timing.replica_out[0])));
   replicas.push_back(&net.add_process(
       "r2", scc::CoreId{4}, seed * 10 + 3,
-      replica_body(ft::ReplicaIndex::kReplica2, timing.replica2_out)));
+      replica_body(ft::ReplicaIndex::kReplica2, timing.replica_out[1])));
 
   net.add_process("consumer", scc::CoreId{6}, seed * 10 + 4,
                   [&](kpn::ProcessContext& ctx) -> sim::Task {

@@ -21,12 +21,12 @@ int main() {
   const auto sizing = rtc::analyze_duplicated_network(app.timing.to_model(),
                                                       app.timing.default_horizon());
   std::cout << "Channel dimensioning (Section 3.4):\n"
-            << "  replicator:  |R1| = " << sizing.replicator_capacity1
-            << ", |R2| = " << sizing.replicator_capacity2 << " tokens\n"
-            << "  selector:    |S1| = " << sizing.selector_capacity1
-            << ", |S2| = " << sizing.selector_capacity2
-            << " tokens, initial |S1|_0 = " << sizing.selector_initial1
-            << ", |S2|_0 = " << sizing.selector_initial2 << "\n"
+            << "  replicator:  |R1| = " << sizing.replicator_capacity[0]
+            << ", |R2| = " << sizing.replicator_capacity[1] << " tokens\n"
+            << "  selector:    |S1| = " << sizing.selector_capacity[0]
+            << ", |S2| = " << sizing.selector_capacity[1]
+            << " tokens, initial |S1|_0 = " << sizing.selector_initial[0]
+            << ", |S2|_0 = " << sizing.selector_initial[1] << "\n"
             << "  divergence threshold D = " << sizing.selector_threshold << "\n";
 
   // Structural check: the duplicated network contains two copies of every

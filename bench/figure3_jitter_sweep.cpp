@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
 
   for (double j2 : {3.15, 6.3, 9.45, 12.6, 15.75, 18.9}) {
     auto app = apps::adpcm::make_application();
-    app.timing.replica2_in = rtc::PJD::from_ms(6.3, j2, 6.3);
-    app.timing.replica2_out = rtc::PJD::from_ms(6.3, j2, 6.3);
+    app.timing.replica_in[1] = rtc::PJD::from_ms(6.3, j2, 6.3);
+    app.timing.replica_out[1] = rtc::PJD::from_ms(6.3, j2, 6.3);
     apps::ExperimentRunner runner(std::move(app));
 
     apps::ExperimentOptions options;
@@ -44,13 +44,13 @@ int main(int argc, char** argv) {
     const double max =
         campaign.first_latency_ms.empty() ? 0.0 : campaign.first_latency_ms.max();
     table.add_row({util::format_double(j2, 2), std::to_string(sizing.selector_threshold),
-                   std::to_string(sizing.replicator_capacity2),
+                   std::to_string(sizing.replicator_capacity[1]),
                    util::format_double(rtc::to_ms(sizing.replicator_overflow_bound), 1) + " ms",
                    util::format_double(rtc::to_ms(sizing.selector_latency_bound), 1) + " ms",
                    util::format_double(mean, 1) + " ms",
                    util::format_double(max, 1) + " ms"});
     csv.add_row({util::format_double(j2, 2), std::to_string(sizing.selector_threshold),
-                 std::to_string(sizing.replicator_capacity2),
+                 std::to_string(sizing.replicator_capacity[1]),
                  util::format_double(rtc::to_ms(sizing.replicator_overflow_bound), 3),
                  util::format_double(rtc::to_ms(sizing.selector_latency_bound), 3),
                  util::format_double(mean, 3), util::format_double(max, 3)});

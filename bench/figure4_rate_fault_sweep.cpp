@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const auto horizon = timing.default_horizon() * 4;
   const auto sizing =
       rtc::analyze_duplicated_network(timing.to_model(), timing.default_horizon());
-  const rtc::PJDLowerCurve healthy_lower(timing.replica2_out);  // R2 stays healthy
+  const rtc::PJDLowerCurve healthy_lower(timing.replica_out[1]);  // R2 stays healthy
 
   util::Table table(
       "Figure 4: detection latency vs. rate-fault severity (ADPCM, R1 degraded, 20 runs)");
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
 
   for (double factor : {1.5, 2.0, 3.0, 4.0, 6.0, 10.0}) {
     const auto bound = rtc::detection_latency_bound_rate_fault(
-        healthy_lower, timing.replica1_out, factor, sizing.selector_threshold, horizon);
+        healthy_lower, timing.replica_out[0], factor, sizing.selector_threshold, horizon);
 
     apps::ExperimentOptions options;
     options.run_periods = 700;

@@ -475,8 +475,8 @@ int check_online_overhead() {
     };
     std::vector<rtc::online::StreamSpec> specs;
     specs.push_back(stream("producer", -1, app.timing.producer));
-    specs.push_back(stream("r1.out", 0, app.timing.replica1_out));
-    specs.push_back(stream("r2.out", 1, app.timing.replica2_out));
+    specs.push_back(stream("r1.out", 0, app.timing.replica_out[0]));
+    specs.push_back(stream("r2.out", 1, app.timing.replica_out[1]));
     rtc::online::OnlineMonitor monitor(hot_bus, lattice, std::move(specs));
     const trace::SubjectId subjects[3] = {hot_bus.intern("producer"),
                                           hot_bus.intern("r1.out"),

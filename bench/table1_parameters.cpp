@@ -26,10 +26,10 @@ void add_app(util::Table& table, const apps::ApplicationSpec& app) {
   const auto& t = app.timing;
   table.add_row({app.name, "producer (input rate)", t.producer.to_string(),
                  bandwidth(app)});
-  table.add_row({"", "replica 1 consumption", t.replica1_in.to_string(), ""});
-  table.add_row({"", "replica 1 production", t.replica1_out.to_string(), ""});
-  table.add_row({"", "replica 2 consumption", t.replica2_in.to_string(), ""});
-  table.add_row({"", "replica 2 production", t.replica2_out.to_string(), ""});
+  table.add_row({"", "replica 1 consumption", t.replica_in[0].to_string(), ""});
+  table.add_row({"", "replica 1 production", t.replica_out[0].to_string(), ""});
+  table.add_row({"", "replica 2 consumption", t.replica_in[1].to_string(), ""});
+  table.add_row({"", "replica 2 production", t.replica_out[1].to_string(), ""});
   table.add_row({"", "consumer consumption", t.consumer.to_string(), ""});
   table.add_separator();
 }

@@ -93,12 +93,12 @@ inline void run_table2(apps::ApplicationSpec app, int jobs = 1,
 
   util::Table fifo("Table 2 (" + name + "): FIFO dimensioning (Eq. 3/4) vs. observation");
   fifo.set_header({"FIFO", "|R1|", "|R2|", "|S1|", "|S2|", "|S1|_0", "|S2|_0"});
-  fifo.add_row({"Theoretical capacity (tokens)", std::to_string(sizing.replicator_capacity1),
-                std::to_string(sizing.replicator_capacity2),
-                std::to_string(sizing.selector_capacity1),
-                std::to_string(sizing.selector_capacity2),
-                std::to_string(sizing.selector_initial1),
-                std::to_string(sizing.selector_initial2)});
+  fifo.add_row({"Theoretical capacity (tokens)", std::to_string(sizing.replicator_capacity[0]),
+                std::to_string(sizing.replicator_capacity[1]),
+                std::to_string(sizing.selector_capacity[0]),
+                std::to_string(sizing.selector_capacity[1]),
+                std::to_string(sizing.selector_initial[0]),
+                std::to_string(sizing.selector_initial[1])});
   fifo.add_row({"Max observed fill (no faults, 20 runs, " + seed_list(dup_free.seeds) + ")",
                 std::to_string(dup_free.max_fill_r1), std::to_string(dup_free.max_fill_r2),
                 std::to_string(dup_free.max_fill_s1), std::to_string(dup_free.max_fill_s2),
@@ -121,12 +121,12 @@ inline void run_table2(apps::ApplicationSpec app, int jobs = 1,
   util::Table overhead("Table 2 (" + name + "): framework overhead");
   overhead.set_header({"Component", "Control memory", "Notes"});
   overhead.add_row({"Replicator", std::to_string(dup_free.replicator_memory) + " B",
-                    "+ " + std::to_string(sizing.replicator_capacity1 +
-                                          sizing.replicator_capacity2) +
+                    "+ " + std::to_string(sizing.replicator_capacity[0] +
+                                          sizing.replicator_capacity[1]) +
                         " token slots"});
   overhead.add_row({"Selector", std::to_string(dup_free.selector_memory) + " B",
-                    "+ " + std::to_string(std::max(sizing.selector_capacity1,
-                                                   sizing.selector_capacity2)) +
+                    "+ " + std::to_string(std::max(sizing.selector_capacity[0],
+                                                   sizing.selector_capacity[1])) +
                         " token slots"});
   overhead.add_row({"Runtime per op", "(see bench/micro_overhead)",
                     "arbitration is O(1) counter updates"});

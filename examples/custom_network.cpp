@@ -22,8 +22,8 @@ apps::ApplicationSpec make_cipher_app() {
   app.stage_compute_time = rtc::from_ms(0.5);
   // 8 ms period, modest producer jitter, diverse replicas.
   app.timing.producer = rtc::PJD::from_ms(8, 0.5, 8);
-  app.timing.replica1_in = app.timing.replica1_out = rtc::PJD::from_ms(8, 2, 8);
-  app.timing.replica2_in = app.timing.replica2_out = rtc::PJD::from_ms(8, 12, 8);
+  app.timing.replica_in = app.timing.replica_out = {rtc::PJD::from_ms(8, 2, 8),
+                                                    rtc::PJD::from_ms(8, 12, 8)};
   app.timing.consumer = rtc::PJD::from_ms(8, 0.5, 8);
 
   app.make_input = [](std::uint64_t index) {
@@ -60,12 +60,12 @@ int main() {
   // Fault-free validation first: fills within capacity, no false positives.
   options.inject_fault = false;
   const auto clean = runner.run(options);
-  std::cout << "Sizing: |R1|=" << clean.sizing.replicator_capacity1
-            << " |R2|=" << clean.sizing.replicator_capacity2
+  std::cout << "Sizing: |R1|=" << clean.sizing.replicator_capacity[0]
+            << " |R2|=" << clean.sizing.replicator_capacity[1]
             << " D=" << clean.sizing.selector_threshold << "\n";
   std::cout << "Fault-free: fills R1=" << clean.fill_r1 << "/"
-            << clean.sizing.replicator_capacity1 << ", R2=" << clean.fill_r2 << "/"
-            << clean.sizing.replicator_capacity2
+            << clean.sizing.replicator_capacity[0] << ", R2=" << clean.fill_r2 << "/"
+            << clean.sizing.replicator_capacity[1]
             << ", false positives: " << (clean.any_detection ? "YES" : "none") << "\n";
 
   bool all_ok = !clean.any_detection;

@@ -46,21 +46,19 @@ int main() {
   };
   ft::AppTimingSpec timing;
   timing.producer = producer_model;
-  timing.replica1_in = derived_model(out1);   // consumption tracks service
-  timing.replica1_out = derived_model(out1);
-  timing.replica2_in = derived_model(out2);
-  timing.replica2_out = derived_model(out2);
   timing.consumer = producer_model;
+  // Consumption tracks service: each replica consumes as it produces.
+  timing.replica_in = timing.replica_out = {derived_model(out1), derived_model(out2)};
 
   // 4. Size and build the fault-tolerant system from the derived models.
   sim::Simulator simulator;
   kpn::Network net(simulator);
   ft::FaultTolerantHarness harness(net, {.timing = timing, .name_prefix = "gpc"});
   const auto& sizing = harness.sizing();
-  std::cout << "Derived sizing: |R1|=" << sizing.replicator_capacity1
-            << " |R2|=" << sizing.replicator_capacity2
-            << " |S1|=" << sizing.selector_capacity1
-            << " |S2|=" << sizing.selector_capacity2
+  std::cout << "Derived sizing: |R1|=" << sizing.replicator_capacity[0]
+            << " |R2|=" << sizing.replicator_capacity[1]
+            << " |S1|=" << sizing.selector_capacity[0]
+            << " |S2|=" << sizing.selector_capacity[1]
             << " D=" << sizing.selector_threshold << "\n";
 
   // 5. Run the actual system: replicas whose *real* behaviour is governed by

@@ -29,10 +29,10 @@ int main() {
   options.inject_fault = false;
   const auto clean = runner.run(options);
 
-  std::cout << "Channel sizing (Eq. 3/4): |R1|=" << faulted.sizing.replicator_capacity1
-            << " |R2|=" << faulted.sizing.replicator_capacity2
-            << " |S1|=" << faulted.sizing.selector_capacity1
-            << " |S2|=" << faulted.sizing.selector_capacity2 << "\n";
+  std::cout << "Channel sizing (Eq. 3/4): |R1|=" << faulted.sizing.replicator_capacity[0]
+            << " |R2|=" << faulted.sizing.replicator_capacity[1]
+            << " |S1|=" << faulted.sizing.selector_capacity[0]
+            << " |S2|=" << faulted.sizing.selector_capacity[1] << "\n";
   std::cout << "Fault injected into replica 2 at "
             << rtc::to_ms(faulted.fault_injected_at) << " ms.\n";
   if (faulted.first_record) {

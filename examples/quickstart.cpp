@@ -11,6 +11,7 @@
 //      continues unharmed.
 #include <iostream>
 
+#include "ft/fault_injector.hpp"
 #include "ft/framework.hpp"
 #include "kpn/network.hpp"
 #include "kpn/timing.hpp"
@@ -26,17 +27,17 @@ int main() {
   //    diversity" between replicas.
   ft::AppTimingSpec timing;
   timing.producer = rtc::PJD::from_ms(10, 1, 10);
-  timing.replica1_in = timing.replica1_out = rtc::PJD::from_ms(10, 2, 10);
-  timing.replica2_in = timing.replica2_out = rtc::PJD::from_ms(10, 10, 10);
+  timing.replica_in = timing.replica_out = {rtc::PJD::from_ms(10, 2, 10),
+                                            rtc::PJD::from_ms(10, 10, 10)};
   timing.consumer = rtc::PJD::from_ms(10, 1, 10);
 
   // 2. The harness runs the design-time analysis and builds the channels.
   ft::FaultTolerantHarness harness(net, {.timing = timing, .name_prefix = "demo"});
   const auto& sizing = harness.sizing();
-  std::cout << "Sizing: |R1|=" << sizing.replicator_capacity1
-            << " |R2|=" << sizing.replicator_capacity2
-            << " |S1|=" << sizing.selector_capacity1
-            << " |S2|=" << sizing.selector_capacity2 << " D=" << sizing.selector_threshold
+  std::cout << "Sizing: |R1|=" << sizing.replicator_capacity[0]
+            << " |R2|=" << sizing.replicator_capacity[1]
+            << " |S1|=" << sizing.selector_capacity[0]
+            << " |S2|=" << sizing.selector_capacity[1] << " D=" << sizing.selector_threshold
             << "\nWorst-case detection: replicator "
             << rtc::to_ms(sizing.replicator_overflow_bound) << " ms, selector "
             << rtc::to_ms(sizing.selector_latency_bound) << " ms\n\n";
@@ -75,9 +76,9 @@ int main() {
     };
   };
   auto& r1 = net.add_process("replica1", scc::CoreId{2}, 2,
-                             replica_body(ft::ReplicaIndex::kReplica1, timing.replica1_out));
+                             replica_body(ft::ReplicaIndex::kReplica1, timing.replica_out[0]));
   net.add_process("replica2", scc::CoreId{4}, 3,
-                  replica_body(ft::ReplicaIndex::kReplica2, timing.replica2_out));
+                  replica_body(ft::ReplicaIndex::kReplica2, timing.replica_out[1]));
 
   std::uint64_t received = 0;
   net.add_process("consumer", scc::CoreId{6}, 4,
@@ -94,7 +95,8 @@ int main() {
                   });
 
   // 4. Kill replica 1 at t = 500 ms; run for 2 simulated seconds.
-  harness.injector().schedule({&r1}, rtc::from_ms(500.0), ft::FaultMode::kSilence);
+  ft::FaultInjector injector(simulator);
+  injector.schedule({&r1}, rtc::from_ms(500.0), ft::FaultMode::kSilence);
   simulator.schedule_at(rtc::from_ms(500.0), [&] {
     harness.replicator().freeze_reader(ft::ReplicaIndex::kReplica1);
     harness.selector().freeze_writer(ft::ReplicaIndex::kReplica1);

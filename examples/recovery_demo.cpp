@@ -21,8 +21,8 @@ int main() {
 
   ft::AppTimingSpec timing;
   timing.producer = rtc::PJD::from_ms(10, 1, 10);
-  timing.replica1_in = timing.replica1_out = rtc::PJD::from_ms(10, 2, 10);
-  timing.replica2_in = timing.replica2_out = rtc::PJD::from_ms(10, 6, 10);
+  timing.replica_in = timing.replica_out = {rtc::PJD::from_ms(10, 2, 10),
+                                            rtc::PJD::from_ms(10, 6, 10)};
   timing.consumer = rtc::PJD::from_ms(10, 1, 10);
   ft::FaultTolerantHarness harness(net, {.timing = timing, .name_prefix = "rec"});
 
@@ -59,9 +59,9 @@ int main() {
   };
   std::vector<kpn::Process*> replicas{
       &net.add_process("replica1", scc::CoreId{2}, 2,
-                       replica_body(ft::ReplicaIndex::kReplica1, timing.replica1_out)),
+                       replica_body(ft::ReplicaIndex::kReplica1, timing.replica_out[0])),
       &net.add_process("replica2", scc::CoreId{4}, 3,
-                       replica_body(ft::ReplicaIndex::kReplica2, timing.replica2_out))};
+                       replica_body(ft::ReplicaIndex::kReplica2, timing.replica_out[1]))};
 
   std::uint64_t received = 0;
   bool intact = true;

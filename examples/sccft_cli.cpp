@@ -102,9 +102,9 @@ int main(int argc, char** argv) {
     if (!sizing_printed) {
       sizing_printed = true;
       const auto& s = result.sizing;
-      std::cout << "Sizing: |R1|=" << s.replicator_capacity1
-                << " |R2|=" << s.replicator_capacity2 << " |S1|=" << s.selector_capacity1
-                << " |S2|=" << s.selector_capacity2 << " D=" << s.selector_threshold
+      std::cout << "Sizing: |R1|=" << s.replicator_capacity[0]
+                << " |R2|=" << s.replicator_capacity[1] << " |S1|=" << s.selector_capacity[0]
+                << " |S2|=" << s.selector_capacity[1] << " D=" << s.selector_threshold
                 << " bounds: replicator " << rtc::to_ms(s.replicator_overflow_bound)
                 << " ms / selector " << rtc::to_ms(s.selector_latency_bound) << " ms\n";
     }

@@ -2,14 +2,13 @@
 // tolerating TWO sequential permanent timing faults.
 //
 // Builds a 3-replica pipeline (the replicator/selector channels at N = 3,
-// dimensioned by ft/nreplica.hpp), kills replica 0 at t = 400 ms and replica
-// 1 at t = 900 ms, and shows the consumer's stream surviving both failovers
-// without a gap.
+// dimensioned by rtc::analyze_duplicated_network), kills replica 0 at
+// t = 400 ms and replica 1 at t = 900 ms, and shows the consumer's stream
+// surviving both failovers without a gap.
 #include <iostream>
 #include <vector>
 
 #include "ft/framework.hpp"
-#include "ft/nreplica.hpp"
 #include "kpn/network.hpp"
 #include "kpn/timing.hpp"
 
@@ -19,30 +18,19 @@ int main() {
   sim::Simulator simulator;
   kpn::Network net(simulator);
 
-  const auto producer_model = rtc::PJD::from_ms(10, 1, 10);
-  const auto consumer_model = rtc::PJD::from_ms(10, 1, 10);
-  const std::vector<rtc::PJD> replica_models{rtc::PJD::from_ms(10, 2, 10),
-                                             rtc::PJD::from_ms(10, 5, 10),
-                                             rtc::PJD::from_ms(10, 10, 10)};
+  ft::AppTimingSpec timing;
+  timing.producer = rtc::PJD::from_ms(10, 1, 10);
+  timing.consumer = rtc::PJD::from_ms(10, 1, 10);
+  timing.replica_in = timing.replica_out = {
+      rtc::PJD::from_ms(10, 2, 10), rtc::PJD::from_ms(10, 5, 10), rtc::PJD::from_ms(10, 10, 10)};
 
   // Design-time analysis for N = 3.
-  ft::NReplicaTimingModel model;
-  model.producer_upper = rtc::make_curve<rtc::PJDUpperCurve>(producer_model);
-  model.producer_lower = rtc::make_curve<rtc::PJDLowerCurve>(producer_model);
-  model.consumer_upper = rtc::make_curve<rtc::PJDUpperCurve>(consumer_model);
-  model.consumer_lower = rtc::make_curve<rtc::PJDLowerCurve>(consumer_model);
-  for (const auto& pjd : replica_models) {
-    model.in_upper.push_back(rtc::make_curve<rtc::PJDUpperCurve>(pjd));
-    model.in_lower.push_back(rtc::make_curve<rtc::PJDLowerCurve>(pjd));
-    model.out_upper.push_back(rtc::make_curve<rtc::PJDUpperCurve>(pjd));
-    model.out_lower.push_back(rtc::make_curve<rtc::PJDLowerCurve>(pjd));
-  }
-  const auto sizing = ft::analyze_n_replica_network(model, rtc::from_sec(3.0));
+  const auto sizing = rtc::analyze_duplicated_network(timing.to_model(), rtc::from_sec(3.0));
   std::cout << "3-replica sizing: |R| = {";
   for (auto c : sizing.replicator_capacity) std::cout << " " << c;
   std::cout << " }, |S| = {";
   for (auto c : sizing.selector_capacity) std::cout << " " << c;
-  std::cout << " }, D = " << sizing.divergence_threshold << "\n";
+  std::cout << " }, D = " << sizing.selector_threshold << "\n";
 
   auto& replicator = net.adopt_channel(std::make_unique<ft::ReplicatorChannel>(
       simulator, "tmr.replicator",
@@ -51,7 +39,7 @@ int main() {
       simulator, "tmr.selector",
       ft::SelectorChannel::Config{.capacities = sizing.selector_capacity,
                                   .initials = sizing.selector_initial,
-                                  .divergence_threshold = sizing.divergence_threshold}));
+                                  .divergence_threshold = sizing.selector_threshold}));
 
   // Both channels publish their verdicts on the trace bus.
   const ft::DetectionLogSink detections(
@@ -59,7 +47,7 @@ int main() {
 
   net.add_process("producer", scc::CoreId{0}, 1,
                   [&](kpn::ProcessContext& ctx) -> sim::Task {
-                    kpn::TimingShaper shaper(producer_model, 0, ctx.rng());
+                    kpn::TimingShaper shaper(timing.producer, 0, ctx.rng());
                     for (std::uint64_t k = 0;; ++k) {
                       const rtc::TimeNs t = shaper.next_emission(ctx.now());
                       if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
@@ -75,7 +63,7 @@ int main() {
     replicas.push_back(&net.add_process(
         "replica" + std::to_string(r), scc::CoreId{2 * (r + 1)},
         10 + static_cast<std::uint64_t>(r),
-        [&, r, pjd = replica_models[static_cast<std::size_t>(r)]](
+        [&, r, pjd = timing.replica_out[static_cast<std::size_t>(r)]](
             kpn::ProcessContext& ctx) -> sim::Task {
           kpn::TimingShaper emit(pjd, 0, ctx.rng());
           const auto which = static_cast<ft::ReplicaIndex>(r);
@@ -99,7 +87,7 @@ int main() {
   bool gap = false;
   net.add_process("consumer", scc::CoreId{8}, 99,
                   [&](kpn::ProcessContext& ctx) -> sim::Task {
-                    kpn::TimingShaper shaper(consumer_model, 0, ctx.rng());
+                    kpn::TimingShaper shaper(timing.consumer, 0, ctx.rng());
                     while (true) {
                       const rtc::TimeNs t = shaper.next_emission(ctx.now());
                       if (t > ctx.now()) co_await ctx.delay(t - ctx.now());

@@ -15,10 +15,8 @@ ApplicationSpec make_application(std::uint64_t content_seed) {
 
   // Table 1 (ADPCM row); see app.hpp for the replica-2 jitter derivation.
   app.timing.producer = rtc::PJD::from_ms(6.3, 0.1, 6.3);
-  app.timing.replica1_in = rtc::PJD::from_ms(6.3, 0.8, 6.3);
-  app.timing.replica1_out = rtc::PJD::from_ms(6.3, 0.8, 6.3);
-  app.timing.replica2_in = rtc::PJD::from_ms(6.3, 12.6, 6.3);
-  app.timing.replica2_out = rtc::PJD::from_ms(6.3, 12.6, 6.3);
+  app.timing.replica_in = app.timing.replica_out = {rtc::PJD::from_ms(6.3, 0.8, 6.3),
+                                                    rtc::PJD::from_ms(6.3, 12.6, 6.3)};
   app.timing.consumer = rtc::PJD::from_ms(6.3, 0.1, 6.3);
 
   app.make_input = [content_seed](std::uint64_t index) -> Bytes {

@@ -160,10 +160,10 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
     config.name_prefix = app_.name;
     config.platform = platform ? &*platform : nullptr;
     config.producer_core = core_of("producer");
-    config.replica1_in_core = core_of("r1." + stage_names.front());
-    config.replica1_out_core = core_of("r1." + stage_names.back());
-    config.replica2_in_core = core_of("r2." + stage_names.front());
-    config.replica2_out_core = core_of("r2." + stage_names.back());
+    config.replica_in_cores = {core_of("r1." + stage_names.front()),
+                               core_of("r2." + stage_names.front())};
+    config.replica_out_cores = {core_of("r1." + stage_names.back()),
+                                core_of("r2." + stage_names.back())};
     config.consumer_core = core_of("consumer");
     config.enable_selector_stall_rule = options.enable_selector_stall_rule;
     config.divergence_threshold_override = options.divergence_override;
@@ -182,9 +182,9 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
     // Eq. (3)/(4) with the replica-1 timing (the reference's own timing).
     result.sizing =
         rtc::analyze_duplicated_network(app_.timing.to_model(), app_.timing.default_horizon());
-    ref_in = &net.add_fifo(app_.name + ".F_P", result.sizing.replicator_capacity1,
+    ref_in = &net.add_fifo(app_.name + ".F_P", result.sizing.replicator_capacity[0],
                            link("producer", "ref." + stage_names.front()));
-    ref_out = &net.add_fifo(app_.name + ".F_C", result.sizing.selector_capacity1,
+    ref_out = &net.add_fifo(app_.name + ".F_C", result.sizing.selector_capacity[0],
                             link("ref." + stage_names.back(), "consumer"));
     producer_sink = ref_in;
     consumer_source = ref_out;
@@ -200,8 +200,8 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
   std::optional<rtc::TimeNs> distance_detect;
   std::optional<rtc::TimeNs> watchdog_detect;
   if (options.attach_baseline_monitors && options.duplicated) {
-    const int faulty = ft::index_of(options.faulty_replica);
-    const rtc::PJD model = faulty == 0 ? app_.timing.replica1_in : app_.timing.replica2_in;
+    const rtc::PJD model =
+        app_.timing.replica_in[static_cast<std::size_t>(ft::index_of(options.faulty_replica))];
     distance_monitor.emplace(monitor::DistanceFunctionMonitor::Config{
         .model = model,
         .l = options.monitor_history_l,
@@ -242,8 +242,8 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
     };
     std::vector<rtc::online::StreamSpec> specs;
     specs.push_back(stream("producer", -1, app_.timing.producer));
-    specs.push_back(stream("r1.out", 0, app_.timing.replica1_out));
-    specs.push_back(stream("r2.out", 1, app_.timing.replica2_out));
+    specs.push_back(stream("r1.out", 0, app_.timing.replica_out[0]));
+    specs.push_back(stream("r2.out", 1, app_.timing.replica_out[1]));
     rtc::online::OnlineMonitor::Options monitor_options;
     if (options.adaptation.enabled) {
       monitor_options.weakly_hard = options.adaptation.window;
@@ -526,12 +526,12 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
   };
 
   if (options.duplicated) {
-    build_replica(0, "r1", app_.timing.replica1_in, app_.timing.replica1_out,
+    build_replica(0, "r1", app_.timing.replica_in[0], app_.timing.replica_out[0],
                   replica_inputs[0], replica_outputs[0]);
-    build_replica(1, "r2", app_.timing.replica2_in, app_.timing.replica2_out,
+    build_replica(1, "r2", app_.timing.replica_in[1], app_.timing.replica_out[1],
                   replica_inputs[1], replica_outputs[1]);
   } else {
-    build_replica(0, "ref", app_.timing.replica1_in, app_.timing.replica1_out,
+    build_replica(0, "ref", app_.timing.replica_in[0], app_.timing.replica_out[0],
                   replica_inputs[0], replica_outputs[0]);
   }
 
@@ -606,13 +606,14 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
   }
 
   // ----- fault injection ---------------------------------------------------
+  ft::FaultInjector injector(simulator);
   if (options.inject_fault) {
     util::Xoshiro256 phase_rng(options.seed ^ 0xFA417BADC0FFEEULL);
     const rtc::TimeNs fault_time =
         static_cast<rtc::TimeNs>(options.fault_after_periods) * period +
         phase_rng.uniform_int(0, period - 1);
     result.fault_injected_at = fault_time;
-    harness->injector().schedule(
+    injector.schedule(
         replica_processes[ft::index_of(options.faulty_replica)], fault_time,
         options.fault_mode, options.rate_factor);
     if (options.fault_mode == ft::FaultMode::kSilence) {
@@ -776,9 +777,8 @@ std::string ExperimentRunner::render_topology(bool duplicated) {
 
 ApplicationSpec minimize_replica_jitter(ApplicationSpec app, double jitter_ms) {
   const rtc::TimeNs jitter = rtc::from_ms(jitter_ms);
-  for (rtc::PJD* model : {&app.timing.replica1_in, &app.timing.replica1_out,
-                          &app.timing.replica2_in, &app.timing.replica2_out}) {
-    model->jitter = jitter;
+  for (std::vector<rtc::PJD>* models : {&app.timing.replica_in, &app.timing.replica_out}) {
+    for (rtc::PJD& model : *models) model.jitter = jitter;
   }
   // The producer/consumer jitters and the per-stage compute time must stay
   // well below the replica jitters for the conformance argument of

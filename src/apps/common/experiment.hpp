@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "apps/common/application.hpp"
+#include "ft/fault_injector.hpp"
 #include "ft/framework.hpp"
 #include "monitor/distance_function.hpp"
 #include "monitor/watchdog.hpp"

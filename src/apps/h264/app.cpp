@@ -14,10 +14,8 @@ ApplicationSpec make_application(std::uint64_t content_seed) {
 
   // Asymmetric replica jitters (see header).
   app.timing.producer = rtc::PJD::from_ms(30, 1, 30);
-  app.timing.replica1_in = rtc::PJD::from_ms(30, 4, 30);
-  app.timing.replica1_out = rtc::PJD::from_ms(30, 4, 30);
-  app.timing.replica2_in = rtc::PJD::from_ms(30, 20, 30);
-  app.timing.replica2_out = rtc::PJD::from_ms(30, 20, 30);
+  app.timing.replica_in = app.timing.replica_out = {rtc::PJD::from_ms(30, 4, 30),
+                                                    rtc::PJD::from_ms(30, 20, 30)};
   app.timing.consumer = rtc::PJD::from_ms(30, 1, 30);
 
   app.make_input = [content_seed](std::uint64_t index) -> Bytes {

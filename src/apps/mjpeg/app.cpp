@@ -14,10 +14,8 @@ ApplicationSpec make_application(std::uint64_t content_seed) {
 
   // Table 1 (MJPEG row), <period, jitter, min-distance> in ms.
   app.timing.producer = rtc::PJD::from_ms(30, 2, 30);
-  app.timing.replica1_in = rtc::PJD::from_ms(30, 5, 30);
-  app.timing.replica1_out = rtc::PJD::from_ms(30, 5, 30);
-  app.timing.replica2_in = rtc::PJD::from_ms(30, 30, 30);
-  app.timing.replica2_out = rtc::PJD::from_ms(30, 30, 30);
+  app.timing.replica_in = app.timing.replica_out = {rtc::PJD::from_ms(30, 5, 30),
+                                                    rtc::PJD::from_ms(30, 30, 30)};
   app.timing.consumer = rtc::PJD::from_ms(30, 2, 30);
 
   app.make_input = [content_seed](std::uint64_t index) -> Bytes {

@@ -115,19 +115,18 @@ RunObservation run_storm_n(const StormPlan& plan, const RunOptions& options) {
   sim::Simulator simulator;
   kpn::Network net(simulator);
 
-  ft::NReplicaHarness::Config config;
-  config.producer = rtc::PJD::from_ms(10, 1, 10);
-  config.consumer = rtc::PJD::from_ms(10, 1, 10);
+  ft::AppTimingSpec timing;
+  timing.producer = rtc::PJD::from_ms(10, 1, 10);
+  timing.consumer = rtc::PJD::from_ms(10, 1, 10);
   for (int i = 0; i < n; ++i) {
     // Heterogeneous replica timing, like the 2-replica rig's 2 ms / 6 ms
     // jitter split: replica i jitters by 2(i+1) ms.
     const rtc::PJD model = rtc::PJD::from_ms(10, 2 * (i + 1), 10);
-    config.replica_in.push_back(model);
-    config.replica_out.push_back(model);
+    timing.replica_in.push_back(model);
+    timing.replica_out.push_back(model);
   }
-  config.verify_checksums = true;
-  config.enable_payload_vote = true;
-  ft::NReplicaHarness harness(net, config);
+  ft::FaultTolerantHarness harness(
+      net, {.timing = timing, .name_prefix = "nft", .enable_payload_vote = true});
 
   RunObservation obs;
   obs.nreplica = n;
@@ -142,7 +141,7 @@ RunObservation run_storm_n(const StormPlan& plan, const RunOptions& options) {
   const std::uint64_t seed = plan.seed;
   net.add_process("producer", scc::CoreId{0}, seed * 10 + 1,
                   [&](kpn::ProcessContext& ctx) -> sim::Task {
-                    kpn::TimingShaper shaper(config.producer, 0, ctx.rng());
+                    kpn::TimingShaper shaper(timing.producer, 0, ctx.rng());
                     for (std::uint64_t k = 0;; ++k) {
                       const rtc::TimeNs t = shaper.next_emission(ctx.now());
                       if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
@@ -183,14 +182,14 @@ RunObservation run_storm_n(const StormPlan& plan, const RunOptions& options) {
     replica_groups.push_back({&net.add_process(
         "r" + std::to_string(i + 1), scc::CoreId{2 * (i + 1)},
         seed * 10 + 2 + static_cast<std::uint64_t>(i),
-        replica_body(i, config.replica_out[static_cast<std::size_t>(i)]))});
+        replica_body(i, timing.replica_out[static_cast<std::size_t>(i)]))});
   }
 
   net.add_process(
       "consumer", scc::CoreId{2 * (n + 1)},
       seed * 10 + 2 + static_cast<std::uint64_t>(n),
       [&](kpn::ProcessContext& ctx) -> sim::Task {
-        kpn::TimingShaper shaper(config.consumer, 0, ctx.rng());
+        kpn::TimingShaper shaper(timing.consumer, 0, ctx.rng());
         while (true) {
           const rtc::TimeNs t = shaper.next_emission(ctx.now());
           if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
@@ -257,16 +256,15 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
 
   ft::AppTimingSpec timing;
   timing.producer = rtc::PJD::from_ms(10, 1, 10);
-  timing.replica1_in = timing.replica1_out = rtc::PJD::from_ms(10, 2, 10);
-  timing.replica2_in = timing.replica2_out = rtc::PJD::from_ms(10, 6, 10);
   timing.consumer = rtc::PJD::from_ms(10, 1, 10);
+  timing.replica_in = timing.replica_out = {rtc::PJD::from_ms(10, 2, 10),
+                                            rtc::PJD::from_ms(10, 6, 10)};
 
   ft::FaultTolerantHarness::Config config{.timing = timing};
   if (with_noc) {
     config.platform = &*platform;
     config.producer_core = scc::CoreId{0};
-    config.replica1_in_core = config.replica1_out_core = scc::CoreId{2};
-    config.replica2_in_core = config.replica2_out_core = scc::CoreId{4};
+    config.replica_in_cores = config.replica_out_cores = {scc::CoreId{2}, scc::CoreId{4}};
     config.consumer_core = scc::CoreId{6};
   }
   ft::FaultTolerantHarness harness(net, config);
@@ -346,10 +344,10 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   std::vector<kpn::Process*> replicas;
   replicas.push_back(&net.add_process(
       "r1", scc::CoreId{2}, seed * 10 + 2,
-      replica_body(ft::ReplicaIndex::kReplica1, timing.replica1_out)));
+      replica_body(ft::ReplicaIndex::kReplica1, timing.replica_out[0])));
   replicas.push_back(&net.add_process(
       "r2", scc::CoreId{4}, seed * 10 + 3,
-      replica_body(ft::ReplicaIndex::kReplica2, timing.replica2_out)));
+      replica_body(ft::ReplicaIndex::kReplica2, timing.replica_out[1])));
 
   bool planted_fired = false;
   net.add_process(
@@ -401,8 +399,8 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
     reconfigurator.emplace(
         simulator, simulator.trace(), harness.replicator(), harness.selector(),
         adapt::ReconfigurationController::Config{.quiesce_window = rc.quiesce_window});
-    const rtc::Tokens base_f1 = harness.sizing().replicator_capacity1;
-    const rtc::Tokens base_f2 = harness.sizing().replicator_capacity2;
+    const rtc::Tokens base_f1 = harness.sizing().replicator_capacity[0];
+    const rtc::Tokens base_f2 = harness.sizing().replicator_capacity[1];
     const rtc::Tokens base_d = harness.sizing().selector_threshold;
     reconfig_tick = [&, base_f1, base_f2, base_d] {
       ++reconfig_round;

@@ -23,47 +23,14 @@ namespace {
 
 std::string stream_tag(int index) { return "s" + std::to_string(index); }
 
+/// Timing of a protected stream: `protection` replicas sharing the stage
+/// envelope for consumption and production.
 AppTimingSpec timing_of(const FleetStreamSpec& s) {
-  AppTimingSpec timing;
-  timing.producer = s.producer;
-  timing.replica1_in = timing.replica2_in = s.stage;
-  timing.replica1_out = timing.replica2_out = s.stage;
-  timing.consumer = s.consumer;
-  return timing;
-}
-
-rtc::SizingReport size_critical(const FleetStreamSpec& s) {
-  const AppTimingSpec timing = timing_of(s);
-  return rtc::analyze_duplicated_network(timing.to_model(),
-                                         timing.default_horizon());
-}
-
-/// N-ary Eq. (3)/(4) sizing for a protection >= 3 stream, with the payload
-/// vote's capacity floor applied so placement MPB demands match what
-/// NReplicaHarness actually allocates (it grows each side to initial + D + 1;
-/// see framework.cpp).
-NSizingReport size_vote(const FleetStreamSpec& s) {
-  NReplicaTimingModel model;
-  model.producer_upper = rtc::make_curve<rtc::PJDUpperCurve>(s.producer);
-  model.producer_lower = rtc::make_curve<rtc::PJDLowerCurve>(s.producer);
-  model.consumer_upper = rtc::make_curve<rtc::PJDUpperCurve>(s.consumer);
-  model.consumer_lower = rtc::make_curve<rtc::PJDLowerCurve>(s.consumer);
-  for (int r = 0; r < s.protection; ++r) {
-    model.in_upper.push_back(rtc::make_curve<rtc::PJDUpperCurve>(s.stage));
-    model.in_lower.push_back(rtc::make_curve<rtc::PJDLowerCurve>(s.stage));
-    model.out_upper.push_back(rtc::make_curve<rtc::PJDUpperCurve>(s.stage));
-    model.out_lower.push_back(rtc::make_curve<rtc::PJDLowerCurve>(s.stage));
-  }
-  const rtc::TimeNs horizon =
-      100 * std::max({s.producer.period, s.stage.period, s.consumer.period}) +
-      2 * std::max({s.producer.jitter, s.stage.jitter, s.consumer.jitter});
-  NSizingReport sizing = analyze_n_replica_network(model, horizon);
-  for (std::size_t i = 0; i < sizing.selector_capacity.size(); ++i) {
-    sizing.selector_capacity[i] =
-        std::max(sizing.selector_capacity[i],
-                 sizing.selector_initial[i] + sizing.divergence_threshold + 1);
-  }
-  return sizing;
+  const auto n = static_cast<std::size_t>(s.protection);
+  return AppTimingSpec{.producer = s.producer,
+                       .consumer = s.consumer,
+                       .replica_in = std::vector<rtc::PJD>(n, s.stage),
+                       .replica_out = std::vector<rtc::PJD>(n, s.stage)};
 }
 
 /// Eq. (3) capacity of a non-critical pipeline's FIFO: the producer's upper
@@ -93,7 +60,12 @@ int FleetSpec::protection_of(int index) const {
   if (!protection.empty()) {
     SCCFT_EXPECTS(protection.size() == static_cast<std::size_t>(streams));
     const int n = protection[static_cast<std::size_t>(index)];
-    SCCFT_EXPECTS(n >= 1 && n <= 4);
+    if (n < 1 || n > 4) {
+      util::contract_failure_msg("precondition",
+                                 "protection of stream " + std::to_string(index) +
+                                     " must be in 1..4, got " + std::to_string(n),
+                                 __FILE__, __LINE__);
+    }
     return n;
   }
   return critical_every > 0 && index % critical_every == 0 ? 2 : 1;
@@ -135,72 +107,64 @@ std::vector<FleetStreamSpec> FleetSpec::materialize() const {
   return result;
 }
 
+void add_replicated_stream(scc::PlacementRequest& request, const std::string& name,
+                           int stream, const rtc::SizingReport& sizing,
+                           bool payload_vote, std::size_t token_bytes,
+                           std::uint64_t weight) {
+  const std::vector<rtc::Tokens> sides =
+      selector_capacities(sizing, sizing.selector_threshold, payload_vote);
+  const int n = static_cast<int>(sides.size());
+  const int base = static_cast<int>(request.processes.size());
+  const int consumer = base + 1 + n;
+  rtc::Tokens consumer_slots = 0;
+  request.processes.push_back({name + ".producer", stream, -1, 0});
+  for (int r = 0; r < n; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
+    rtc::Tokens slots = sizing.replicator_capacity[ri];
+    if (payload_vote) {
+      slots += sides[ri];
+    } else {
+      consumer_slots += sides[ri];
+    }
+    request.processes.push_back({name + ".r" + std::to_string(r + 1), stream, stream,
+                                 static_cast<std::size_t>(slots) * token_bytes});
+  }
+  request.processes.push_back({name + ".consumer", stream, -1,
+                               static_cast<std::size_t>(consumer_slots) * token_bytes});
+  // Edge order feeds the greedy placer: the vote rig lists each replica's
+  // in/out hop together, the pair lists both inputs, then both outputs.
+  for (int r = 0; r < n; ++r) {
+    request.edges.push_back({base, base + 1 + r, weight});
+    if (payload_vote) request.edges.push_back({base + 1 + r, consumer, weight});
+  }
+  if (!payload_vote) {
+    for (int r = 0; r < n; ++r) request.edges.push_back({base + 1 + r, consumer, weight});
+  }
+}
+
 scc::PlacementRequest build_placement_request(
     const FleetSpec& spec, const std::vector<FleetStreamSpec>& streams) {
   scc::PlacementRequest request;
   request.max_processes_per_core = spec.max_processes_per_core;
   for (const FleetStreamSpec& s : streams) {
-    const int base = static_cast<int>(request.processes.size());
     const std::uint64_t weight = bytes_per_second(s);
-    if (s.protection >= 3) {
-      const NSizingReport sizing = size_vote(s);
-      // Generalized layout: replica i's tile MPB holds both its replicator
-      // FIFO and its selector side S_i (the voting consumer reads every side
-      // remotely — N grown sides no longer fit one consumer tile), matching
-      // ft::replication_cost's per-replica sum(|R_i| + |S_i|) accounting.
-      // All N replicas share one anti-affinity group.
-      request.processes.push_back(
-          {stream_tag(s.index) + ".producer", s.index, -1, 0});
-      for (int r = 0; r < s.protection; ++r) {
-        const auto ri = static_cast<std::size_t>(r);
-        request.processes.push_back(
-            {stream_tag(s.index) + ".r" + std::to_string(r + 1), s.index,
-             s.index,
-             static_cast<std::size_t>(sizing.replicator_capacity[ri] +
-                                      sizing.selector_capacity[ri]) *
-                 s.token_bytes});
-      }
-      request.processes.push_back(
-          {stream_tag(s.index) + ".consumer", s.index, -1, 0});
-      const int consumer = base + 1 + s.protection;
-      for (int r = 0; r < s.protection; ++r) {
-        request.edges.push_back({base, base + 1 + r, weight});
-        request.edges.push_back({base + 1 + r, consumer, weight});
-      }
-    } else if (s.critical) {
-      const rtc::SizingReport sizing = size_critical(s);
-      // The replicator FIFO of replica i lives in the replica's tile MPB
-      // (the reader-side copy target of the paper's iRCCE put); both
-      // selector FIFOs live with the consumer.
-      request.processes.push_back(
-          {stream_tag(s.index) + ".producer", s.index, -1, 0});
-      request.processes.push_back(
-          {stream_tag(s.index) + ".r1", s.index, s.index,
-           static_cast<std::size_t>(sizing.replicator_capacity1) * s.token_bytes});
-      request.processes.push_back(
-          {stream_tag(s.index) + ".r2", s.index, s.index,
-           static_cast<std::size_t>(sizing.replicator_capacity2) * s.token_bytes});
-      request.processes.push_back(
-          {stream_tag(s.index) + ".consumer", s.index, -1,
-           static_cast<std::size_t>(sizing.selector_capacity1 +
-                                    sizing.selector_capacity2) *
-               s.token_bytes});
-      request.edges.push_back({base, base + 1, weight});
-      request.edges.push_back({base, base + 2, weight});
-      request.edges.push_back({base + 1, base + 3, weight});
-      request.edges.push_back({base + 2, base + 3, weight});
-    } else {
-      const std::size_t fifo_bytes =
-          static_cast<std::size_t>(pipeline_fifo_capacity(s)) * s.token_bytes;
-      request.processes.push_back(
-          {stream_tag(s.index) + ".producer", s.index, -1, 0});
-      request.processes.push_back(
-          {stream_tag(s.index) + ".worker", s.index, -1, fifo_bytes});
-      request.processes.push_back(
-          {stream_tag(s.index) + ".consumer", s.index, -1, fifo_bytes});
-      request.edges.push_back({base, base + 1, weight});
-      request.edges.push_back({base + 1, base + 2, weight});
+    if (s.critical) {
+      const AppTimingSpec timing = timing_of(s);
+      add_replicated_stream(
+          request, stream_tag(s.index), s.index,
+          rtc::analyze_duplicated_network(timing.to_model(), timing.default_horizon()),
+          s.protection >= 3, s.token_bytes, weight);
+      continue;
     }
+    const int base = static_cast<int>(request.processes.size());
+    const std::size_t fifo_bytes =
+        static_cast<std::size_t>(pipeline_fifo_capacity(s)) * s.token_bytes;
+    request.processes.push_back({stream_tag(s.index) + ".producer", s.index, -1, 0});
+    request.processes.push_back({stream_tag(s.index) + ".worker", s.index, -1, fifo_bytes});
+    request.processes.push_back(
+        {stream_tag(s.index) + ".consumer", s.index, -1, fifo_bytes});
+    request.edges.push_back({base, base + 1, weight});
+    request.edges.push_back({base + 1, base + 2, weight});
   }
   return request;
 }
@@ -227,10 +191,8 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
   std::vector<Runtime> runtime(streams.size());
 
   std::vector<std::unique_ptr<FaultTolerantHarness>> harnesses(streams.size());
-  std::vector<std::unique_ptr<NReplicaHarness>> vote_harnesses(streams.size());
   std::vector<std::unique_ptr<Supervisor>> supervisors(streams.size());
   std::vector<std::unique_ptr<FaultCampaign>> campaigns(streams.size());
-  std::vector<rtc::SizingReport> sizings(streams.size());
   std::vector<kpn::FifoChannel*> fifo_in(streams.size(), nullptr);
   std::vector<kpn::FifoChannel*> fifo_out(streams.size(), nullptr);
   std::vector<rtc::Tokens> fifo_caps(streams.size(), 0);
@@ -256,114 +218,26 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
       monitor_specs.push_back(std::move(ms));
     }
 
-    if (s.protection >= 3) {
-      // Unsupervised N-replica payload-vote rig: conviction and masking are
-      // the selector's job (vote mode), no Supervisor attached. The vote
-      // channels model no NoC links — mesh accounting for these streams is
-      // placement-only.
-      NReplicaHarness::Config config;
-      config.producer = s.producer;
-      config.consumer = s.consumer;
-      config.replica_in.assign(static_cast<std::size_t>(s.protection), s.stage);
-      config.replica_out = config.replica_in;
-      config.name_prefix = tag;
-      config.enable_payload_vote = true;
-      vote_harnesses[i] = std::make_unique<NReplicaHarness>(net, config);
-      NReplicaHarness* harness = vote_harnesses[i].get();
-
-      net.add_process(
-          tag + ".producer", placement.process_to_core[process_cursor],
-          s.seed * 10 + 1,
-          [harness, s, bus, producer_subject](kpn::ProcessContext& ctx)
-              -> sim::Task {
-            kpn::TimingShaper shaper(s.producer, 0, ctx.rng());
-            shaper.bind_trace(bus, producer_subject);
-            for (std::uint64_t k = 0;; ++k) {
-              const rtc::TimeNs t = shaper.next_emission(ctx.now());
-              if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-              std::vector<std::uint8_t> payload(
-                  s.token_bytes, static_cast<std::uint8_t>(k));
-              co_await kpn::write(harness->replicator(),
-                                  kpn::Token(std::move(payload), k, ctx.now()));
-              shaper.commit(ctx.now());
-            }
-          });
-
-      std::vector<std::vector<kpn::Process*>> replica_processes(
-          static_cast<std::size_t>(s.protection));
-      for (int r = 0; r < s.protection; ++r) {
-        kpn::Process* p = &net.add_process(
-            tag + ".r" + std::to_string(r + 1),
-            placement.process_to_core[process_cursor + 1 +
-                                      static_cast<std::size_t>(r)],
-            s.seed * 10 + 2 + static_cast<std::uint64_t>(r),
-            [harness, s, r = static_cast<ReplicaIndex>(r)](
-                kpn::ProcessContext& ctx) -> sim::Task {
-              kpn::TimingShaper emit(s.stage, ctx.now(), ctx.rng());
-              while (true) {
-                SCCFT_FAULT_GATE(ctx);
-                kpn::Token token =
-                    co_await kpn::read(harness->replicator().read_interface(r));
-                SCCFT_FAULT_GATE(ctx);
-                const rtc::TimeNs target = emit.next_emission(ctx.now());
-                if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
-                SCCFT_FAULT_GATE(ctx);
-                co_await kpn::write(harness->selector().write_interface(r),
-                                    token);
-                emit.commit(ctx.now());
-              }
-            });
-        replica_processes[static_cast<std::size_t>(r)] = {p};
-      }
-
-      net.add_process(
-          tag + ".consumer",
-          placement.process_to_core[process_cursor + 1 +
-                                    static_cast<std::size_t>(s.protection)],
-          s.seed * 10 + 2 + static_cast<std::uint64_t>(s.protection),
-          [harness, s, rt](kpn::ProcessContext& ctx) -> sim::Task {
-            kpn::TimingShaper shaper(s.consumer, 0, ctx.rng());
-            while (true) {
-              const rtc::TimeNs t = shaper.next_emission(ctx.now());
-              if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-              kpn::Token token = co_await kpn::read(harness->selector());
-              shaper.commit(ctx.now());
-              if (token.seq() > rt->expected_seq) rt->gap = true;
-              rt->expected_seq = token.seq() + 1;
-              ++rt->consumed;
-            }
-          });
-
-      if (options.inject_faults) {
-        FaultCampaign::Wiring wiring;
-        wiring.replicator = &harness->replicator();
-        wiring.selector = &harness->selector();
-        wiring.processes = std::move(replica_processes);
-        campaigns[i] = std::make_unique<FaultCampaign>(simulator, wiring,
-                                                       tag + ".faults");
-        FaultSpec fault;
-        fault.kind = FaultKind::kTransientSilence;
-        fault.replica = ReplicaIndex::kReplica1;
-        fault.at = options.fault_at;
-        fault.duration = options.fault_duration;
-        fault.seed = s.seed;
-        campaigns[i]->add(fault);
-        campaigns[i]->arm();
-      }
-    } else if (s.critical) {
+    if (s.critical) {
+      // N >= 3 runs the unsupervised payload-vote rig: conviction and masking
+      // are the selector's job (vote mode), and its channels model no NoC
+      // links — mesh accounting for these streams is placement-only. The
+      // supervised pair (N = 2) is the paper's network.
+      const bool vote = s.protection >= 3;
+      const auto n = static_cast<std::size_t>(s.protection);
       FaultTolerantHarness::Config config;
       config.timing = timing_of(s);
       config.name_prefix = tag;
-      config.platform = &platform;
+      config.platform = vote ? nullptr : &platform;
       config.producer_core = placement.process_to_core[process_cursor];
-      config.replica1_in_core = config.replica1_out_core =
-          placement.process_to_core[process_cursor + 1];
-      config.replica2_in_core = config.replica2_out_core =
-          placement.process_to_core[process_cursor + 2];
-      config.consumer_core = placement.process_to_core[process_cursor + 3];
+      for (std::size_t r = 0; r < n; ++r) {
+        config.replica_in_cores.push_back(placement.process_to_core[process_cursor + 1 + r]);
+      }
+      config.replica_out_cores = config.replica_in_cores;
+      config.consumer_core = placement.process_to_core[process_cursor + 1 + n];
+      config.enable_payload_vote = vote;
       harnesses[i] = std::make_unique<FaultTolerantHarness>(net, config);
       FaultTolerantHarness* harness = harnesses[i].get();
-      sizings[i] = harness->sizing();
 
       net.add_process(
           tag + ".producer", config.producer_core, s.seed * 10 + 1,
@@ -382,31 +256,30 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
             }
           });
 
-      auto replica_body = [harness, s](ReplicaIndex which) {
-        return [harness, s, which](kpn::ProcessContext& ctx) -> sim::Task {
-          kpn::TimingShaper emit(s.stage, ctx.now(), ctx.rng());
-          while (true) {
-            SCCFT_FAULT_GATE(ctx);
-            kpn::Token token =
-                co_await kpn::read(harness->replicator().read_interface(which));
-            SCCFT_FAULT_GATE(ctx);
-            const rtc::TimeNs target = emit.next_emission(ctx.now());
-            if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
-            SCCFT_FAULT_GATE(ctx);
-            co_await kpn::write(harness->selector().write_interface(which),
-                                token);
-            emit.commit(ctx.now());
-          }
-        };
-      };
-      kpn::Process* r1 = &net.add_process(tag + ".r1", config.replica1_in_core,
-                                          s.seed * 10 + 2,
-                                          replica_body(ReplicaIndex::kReplica1));
-      kpn::Process* r2 = &net.add_process(tag + ".r2", config.replica2_in_core,
-                                          s.seed * 10 + 3,
-                                          replica_body(ReplicaIndex::kReplica2));
+      std::vector<std::vector<kpn::Process*>> replica_processes;
+      for (std::size_t r = 0; r < n; ++r) {
+        replica_processes.push_back({&net.add_process(
+            tag + ".r" + std::to_string(r + 1), config.replica_in_cores[r],
+            s.seed * 10 + 2 + r,
+            [harness, s, which = static_cast<ReplicaIndex>(r)](
+                kpn::ProcessContext& ctx) -> sim::Task {
+              kpn::TimingShaper emit(s.stage, ctx.now(), ctx.rng());
+              while (true) {
+                SCCFT_FAULT_GATE(ctx);
+                kpn::Token token =
+                    co_await kpn::read(harness->replicator().read_interface(which));
+                SCCFT_FAULT_GATE(ctx);
+                const rtc::TimeNs target = emit.next_emission(ctx.now());
+                if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
+                SCCFT_FAULT_GATE(ctx);
+                co_await kpn::write(harness->selector().write_interface(which),
+                                    token);
+                emit.commit(ctx.now());
+              }
+            })});
+      }
 
-      net.add_process(tag + ".consumer", config.consumer_core, s.seed * 10 + 4,
+      net.add_process(tag + ".consumer", config.consumer_core, s.seed * 10 + 2 + n,
                       [harness, s, rt](kpn::ProcessContext& ctx) -> sim::Task {
                         kpn::TimingShaper shaper(s.consumer, 0, ctx.rng());
                         while (true) {
@@ -421,27 +294,31 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
                         }
                       });
 
-      std::array<ReplicaAssets, 2> assets{
-          ReplicaAssets{ReplicaIndex::kReplica1, {r1}, {}},
-          ReplicaAssets{ReplicaIndex::kReplica2, {r2}, {}}};
-      Supervisor::Config supervisor_config;
-      supervisor_config.restart_budget = spec.restart_budget;
-      supervisor_config.initial_backoff = 20'000'000;
-      supervisor_config.detection_latency_bound =
-          std::min(sizings[i].replicator_overflow_bound,
-                   sizings[i].selector_latency_bound);
-      supervisor_config.name = tag + ".sup";
-      supervisor_config.injection_subject = tag + ".faults";
-      if (pool.capacity > 0) supervisor_config.shared_budget = &pool;
-      supervisors[i] = std::make_unique<Supervisor>(
-          simulator, harness->replicator(), harness->selector(), assets,
-          supervisor_config);
+      // The Supervisor is pair-only: the vote rig keeps a convicted replica
+      // out and runs on the surviving majority.
+      if (!vote) {
+        std::array<ReplicaAssets, 2> assets{
+            ReplicaAssets{ReplicaIndex::kReplica1, replica_processes[0], {}},
+            ReplicaAssets{ReplicaIndex::kReplica2, replica_processes[1], {}}};
+        Supervisor::Config supervisor_config;
+        supervisor_config.restart_budget = spec.restart_budget;
+        supervisor_config.initial_backoff = 20'000'000;
+        supervisor_config.detection_latency_bound =
+            std::min(harness->sizing().replicator_overflow_bound,
+                     harness->sizing().selector_latency_bound);
+        supervisor_config.name = tag + ".sup";
+        supervisor_config.injection_subject = tag + ".faults";
+        if (pool.capacity > 0) supervisor_config.shared_budget = &pool;
+        supervisors[i] = std::make_unique<Supervisor>(
+            simulator, harness->replicator(), harness->selector(), assets,
+            supervisor_config);
+      }
 
       if (options.inject_faults) {
         FaultCampaign::Wiring wiring;
         wiring.replicator = &harness->replicator();
         wiring.selector = &harness->selector();
-        wiring.processes = {{r1}, {r2}};
+        wiring.processes = std::move(replica_processes);
         campaigns[i] = std::make_unique<FaultCampaign>(simulator, wiring,
                                                        tag + ".faults");
         FaultSpec fault;
@@ -514,9 +391,7 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
                         }
                       });
     }
-    process_cursor +=
-        s.protection >= 3 ? 2 + static_cast<std::size_t>(s.protection)
-                          : (s.critical ? 4 : 3);
+    process_cursor += s.critical ? 2 + static_cast<std::size_t>(s.protection) : 3;
   }
 
   std::unique_ptr<rtc::online::OnlineMonitor> monitor;
@@ -566,62 +441,47 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
     outcome.achieved_rate_hz =
         static_cast<double>(runtime[i].consumed) / simulated_sec;
     outcome.sequence_gap = runtime[i].gap;
-    if (s.protection >= 3) {
-      NReplicaHarness* harness = vote_harnesses[i].get();
-      const NSizingReport& sizing = harness->sizing();
+    if (s.critical) {
+      FaultTolerantHarness* harness = harnesses[i].get();
+      const rtc::SizingReport& sizing = harness->sizing();
       outcome.detection_bound = std::min(sizing.replicator_overflow_bound,
                                          sizing.selector_latency_bound);
-      for (const DetectionRecord& record : harness->detections().records) {
-        if (record.replica == ReplicaIndex::kReplica1) {
-          outcome.detected = true;
-          if (!outcome.detection_latency) {
-            outcome.detection_latency = record.detected_at - options.fault_at;
-          }
-        } else {
-          outcome.false_conviction = true;
+      if (const Supervisor* supervisor = supervisors[i].get()) {
+        const auto target = supervisor->report(ReplicaIndex::kReplica1);
+        const auto peer = supervisor->report(ReplicaIndex::kReplica2);
+        outcome.detected = target.faults_seen > 0;
+        outcome.false_conviction = peer.faults_seen > 0;
+        if (!target.detection_latencies.empty()) {
+          outcome.detection_latency = target.detection_latencies.front();
         }
+        outcome.restarts = target.restarts + peer.restarts;
+        outcome.degraded = target.health == ReplicaHealth::kDegraded ||
+                           peer.health == ReplicaHealth::kDegraded;
+      } else {
+        for (const DetectionRecord& record : harness->detections().records) {
+          if (record.replica == ReplicaIndex::kReplica1) {
+            outcome.detected = true;
+            if (!outcome.detection_latency) {
+              outcome.detection_latency = record.detected_at - options.fault_at;
+            }
+          } else {
+            outcome.false_conviction = true;
+          }
+        }
+        // A convicted replica stays out (no supervisor to reintegrate it);
+        // the stream keeps running on the surviving majority.
+        outcome.degraded = outcome.detected;
       }
-      // A convicted replica stays out (no supervisor to reintegrate it);
-      // the stream keeps running on the surviving majority.
-      outcome.degraded = outcome.detected;
       const kpn::ChannelStats replicator_stats = harness->replicator().stats();
       const kpn::ChannelStats selector_stats = harness->selector().stats();
       outcome.replicator_max_fill = replicator_stats.max_fill;
-      outcome.replicator_capacity =
-          *std::max_element(sizing.replicator_capacity.begin(),
-                            sizing.replicator_capacity.end());
+      outcome.replicator_capacity = *std::max_element(
+          sizing.replicator_capacity.begin(), sizing.replicator_capacity.end());
       outcome.selector_max_fill = selector_stats.max_fill;
-      for (std::size_t r = 0; r < sizing.selector_capacity.size(); ++r) {
-        outcome.selector_capacity += std::max(
-            sizing.selector_capacity[r],
-            sizing.selector_initial[r] + sizing.divergence_threshold + 1);
+      for (const rtc::Tokens capacity : selector_capacities(
+               sizing, sizing.selector_threshold, s.protection >= 3)) {
+        outcome.selector_capacity += capacity;
       }
-      outcome.writer_blocks =
-          replicator_stats.writer_blocks + selector_stats.writer_blocks;
-    } else if (s.critical) {
-      FaultTolerantHarness* harness = harnesses[i].get();
-      Supervisor* supervisor = supervisors[i].get();
-      outcome.detection_bound =
-          std::min(sizings[i].replicator_overflow_bound,
-                   sizings[i].selector_latency_bound);
-      const auto target = supervisor->report(ReplicaIndex::kReplica1);
-      const auto peer = supervisor->report(ReplicaIndex::kReplica2);
-      outcome.detected = target.faults_seen > 0;
-      outcome.false_conviction = peer.faults_seen > 0;
-      if (!target.detection_latencies.empty()) {
-        outcome.detection_latency = target.detection_latencies.front();
-      }
-      outcome.restarts = target.restarts + peer.restarts;
-      outcome.degraded = target.health == ReplicaHealth::kDegraded ||
-                         peer.health == ReplicaHealth::kDegraded;
-      const kpn::ChannelStats replicator_stats = harness->replicator().stats();
-      const kpn::ChannelStats selector_stats = harness->selector().stats();
-      outcome.replicator_max_fill = replicator_stats.max_fill;
-      outcome.replicator_capacity = std::max(sizings[i].replicator_capacity1,
-                                             sizings[i].replicator_capacity2);
-      outcome.selector_max_fill = selector_stats.max_fill;
-      outcome.selector_capacity =
-          sizings[i].selector_capacity1 + sizings[i].selector_capacity2;
       outcome.writer_blocks =
           replicator_stats.writer_blocks + selector_stats.writer_blocks;
     } else {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "rtc/pjd.hpp"
+#include "rtc/sizing.hpp"
 #include "rtc/time.hpp"
 #include "scc/placement.hpp"
 
@@ -85,12 +86,25 @@ struct FleetSpec {
 };
 
 /// Builds the placement request for a materialized fleet: 2 + N processes per
-/// protected stream (producer, N replicas, consumer) with all replicas
-/// pairwise anti-affine and MPB demands from the Eq. (3)/(5) capacities
-/// (N-ary sizing for N >= 3); 3 processes per unprotected stream with
-/// Eq. (3)-sized FIFO demands.
+/// protected stream (see add_replicated_stream) and 3 processes per
+/// unprotected stream with Eq. (3)-sized FIFO demands.
 [[nodiscard]] scc::PlacementRequest build_placement_request(
     const FleetSpec& spec, const std::vector<FleetStreamSpec>& streams);
+
+/// Appends one replicated stream to `request` in the layout the fleet and the
+/// vulnerability planner share: "<name>.producer", the replicas
+/// "<name>.r1".."<name>.rN" (pairwise anti-affine, group `stream`) and
+/// "<name>.consumer", with MPB demands from `sizing` (N = its width). Each
+/// replica's tile holds its replicator FIFO |R_i| (the reader-side copy
+/// target of the paper's iRCCE put). The pair's selector sides live with the
+/// consumer; in `payload_vote` mode each grown side (see
+/// ft::selector_capacities) lives with its replica instead, since the voting
+/// consumer reads every side remotely and N grown sides no longer fit one
+/// consumer tile. `weight` is each hop's traffic in bytes per second.
+void add_replicated_stream(scc::PlacementRequest& request, const std::string& name,
+                           int stream, const rtc::SizingReport& sizing,
+                           bool payload_vote, std::size_t token_bytes,
+                           std::uint64_t weight);
 
 struct FleetRunOptions {
   rtc::TimeNs run_length = 600'000'000;  // 600 ms

@@ -10,8 +10,8 @@ OnlineMargins redimension(const EmpiricalCurveSnapshot& producer,
                           const NetworkTimingModel& design,
                           const SizingReport& designed) {
   OnlineMargins margins;
-  margins.designed_fifo1 = designed.replicator_capacity1;
-  margins.designed_fifo2 = designed.replicator_capacity2;
+  margins.designed_fifo1 = designed.replicator_capacity[0];
+  margins.designed_fifo2 = designed.replicator_capacity[1];
   margins.designed_divergence = designed.selector_threshold;
   margins.designed_latency = designed.selector_latency_bound;
 
@@ -36,9 +36,9 @@ OnlineMargins redimension(const EmpiricalCurveSnapshot& producer,
   // to the emission taps).
   const StaircaseCurve producer_upper = empirical_upper_curve(producer);
   margins.measured_fifo1 =
-      min_fifo_capacity(producer_upper, design.replica1_in_lower.get(), sup_horizon);
+      min_fifo_capacity(producer_upper, design.replica_in_lower[0].get(), sup_horizon);
   margins.measured_fifo2 =
-      min_fifo_capacity(producer_upper, design.replica2_in_lower.get(), sup_horizon);
+      min_fifo_capacity(producer_upper, design.replica_in_lower[1].get(), sup_horizon);
 
   // Eq. (5): divergence threshold from the measured output curves of both
   // replicas.

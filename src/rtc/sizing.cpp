@@ -3,6 +3,7 @@
 #include "rtc/pjd.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -15,18 +16,53 @@ namespace {
 /// every jump point of either curve, and one nanosecond before every jump
 /// point (for staircases, f - g is piecewise constant between jumps; its
 /// maximum is attained immediately at an up-jump of f or immediately before
-/// an up-jump of g).
+/// an up-jump of g). Curves list their jump points in increasing order, so
+/// each curve's candidates come out sorted and the two runs merge in linear
+/// time.
 std::vector<TimeNs> candidate_points(const Curve& f, const Curve& g, TimeNs horizon) {
   std::vector<TimeNs> candidates{0};
+  std::size_t second_run = 0;
   for (const Curve* curve : {&f, &g}) {
+    second_run = candidates.size();
     for (TimeNs at : curve->jump_points_up_to(horizon)) {
-      candidates.push_back(at);
       if (at > 0) candidates.push_back(at - 1);
+      candidates.push_back(at);
     }
   }
-  std::sort(candidates.begin(), candidates.end());
+  std::inplace_merge(candidates.begin(),
+                     candidates.begin() + static_cast<std::ptrdiff_t>(second_run),
+                     candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
   return candidates;
+}
+
+/// Eq. (5) over N replicas: the smallest integer D greater than
+/// sup(alpha_i^u - alpha_j^l) for every ordered pair i != j.
+Tokens threshold_over_pairs(const std::vector<CurveRef>& upper,
+                            const std::vector<CurveRef>& lower, TimeNs horizon) {
+  Tokens worst = std::numeric_limits<Tokens>::min();
+  for (std::size_t i = 0; i < upper.size(); ++i) {
+    for (std::size_t j = 0; j < lower.size(); ++j) {
+      if (i == j) continue;
+      const SupResult sup = sup_difference(*upper[i], *lower[j], horizon);
+      SCCFT_ENSURES(sup.bounded && sup.stabilized);
+      worst = std::max(worst, sup.value);
+    }
+  }
+  return worst + 1;
+}
+
+/// Eq. (7)/(8) over N replicas: the worst silence-fault detection latency
+/// over which replica stays healthy (its lower curve races the dead one).
+TimeNs worst_silence_latency(const std::vector<CurveRef>& healthy_lower,
+                             Tokens threshold_d, TimeNs horizon) {
+  TimeNs worst = 0;
+  for (const CurveRef& lower : healthy_lower) {
+    const auto bound = detection_latency_bound_silence(*lower, threshold_d, horizon);
+    SCCFT_ENSURES(bound.has_value());
+    worst = std::max(worst, *bound);
+  }
+  return worst;
 }
 
 }  // namespace
@@ -140,73 +176,58 @@ std::optional<TimeNs> detection_latency_bound_both(const Curve& out1_lower,
 
 SizingReport analyze_duplicated_network(const NetworkTimingModel& model,
                                         TimeNs horizon) {
+  const std::size_t n = model.replica_in_upper.size();
+  SCCFT_EXPECTS(n >= 2);
+  SCCFT_EXPECTS(model.replica_in_lower.size() == n);
+  SCCFT_EXPECTS(model.replica_out_upper.size() == n);
+  SCCFT_EXPECTS(model.replica_out_lower.size() == n);
   SizingReport report;
 
-  // Eq. (3): replicator FIFO capacities. The producer must never block on a
-  // fault-free replica's input FIFO.
-  const auto r1 = min_fifo_capacity(*model.producer_upper, *model.replica1_in_lower, horizon);
-  const auto r2 = min_fifo_capacity(*model.producer_upper, *model.replica2_in_lower, horizon);
-  SCCFT_ENSURES(r1.has_value() && r2.has_value());
-  report.replicator_capacity1 = *r1;
-  report.replicator_capacity2 = *r2;
-
-  // Eq. (4): initial tokens so the consumer never stalls.
-  const auto init1 =
-      min_initial_fill(*model.replica1_out_lower, *model.consumer_upper, horizon);
-  const auto init2 =
-      min_initial_fill(*model.replica2_out_lower, *model.consumer_upper, horizon);
-  SCCFT_ENSURES(init1.has_value() && init2.has_value());
-  report.selector_initial1 = *init1;
-  report.selector_initial2 = *init2;
-
-  // Selector FIFO capacities: the virtual queue for replica i must absorb the
-  // initial fill plus the largest lead of replica i's production over the
-  // consumer's guaranteed consumption (same Eq. (3) construction applied to
-  // the consumer side).
-  const auto lead1 =
-      sup_difference(*model.replica1_out_upper, *model.consumer_lower, horizon);
-  const auto lead2 =
-      sup_difference(*model.replica2_out_upper, *model.consumer_lower, horizon);
-  SCCFT_ENSURES(lead1.bounded && lead2.bounded);
-  report.selector_capacity1 = report.selector_initial1 + std::max<Tokens>(lead1.value, 1);
-  report.selector_capacity2 = report.selector_initial2 + std::max<Tokens>(lead2.value, 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Eq. (3): replicator FIFO capacity. The producer must never block on a
+    // fault-free replica's input FIFO.
+    const auto capacity =
+        min_fifo_capacity(*model.producer_upper, *model.replica_in_lower[i], horizon);
+    // Eq. (4): initial tokens so the consumer never stalls.
+    const auto initial =
+        min_initial_fill(*model.replica_out_lower[i], *model.consumer_upper, horizon);
+    // Selector FIFO capacity: the virtual queue for replica i must absorb the
+    // initial fill plus the largest lead of replica i's production over the
+    // consumer's guaranteed consumption (same Eq. (3) construction applied to
+    // the consumer side).
+    const auto lead =
+        sup_difference(*model.replica_out_upper[i], *model.consumer_lower, horizon);
+    SCCFT_ENSURES(capacity.has_value() && initial.has_value() && lead.bounded);
+    report.replicator_capacity.push_back(*capacity);
+    report.selector_initial.push_back(*initial);
+    report.selector_capacity.push_back(*initial + std::max<Tokens>(lead.value, 1));
+  }
 
   // Eq. (5): divergence thresholds. At the selector the divergence is between
   // the replicas' output streams; at the replicator between their input
   // consumption streams ("computations for the replicator are analogous").
-  const auto d_sel =
-      divergence_threshold(*model.replica1_out_upper, *model.replica1_out_lower,
-                           *model.replica2_out_upper, *model.replica2_out_lower, horizon);
-  const auto d_rep =
-      divergence_threshold(*model.replica1_in_upper, *model.replica1_in_lower,
-                           *model.replica2_in_upper, *model.replica2_in_lower, horizon);
-  SCCFT_ENSURES(d_sel.has_value() && d_rep.has_value());
-  report.selector_threshold = *d_sel;
-  report.replicator_threshold = *d_rep;
+  report.selector_threshold =
+      threshold_over_pairs(model.replica_out_upper, model.replica_out_lower, horizon);
+  report.replicator_threshold =
+      threshold_over_pairs(model.replica_in_upper, model.replica_in_lower, horizon);
 
   // Eq. (7)/(8): worst-case detection latency for a silence fault.
-  const auto lat_sel_1 =
-      detection_latency_bound_silence(*model.replica2_out_lower, *d_sel, horizon);
-  const auto lat_sel_2 =
-      detection_latency_bound_silence(*model.replica1_out_lower, *d_sel, horizon);
-  const auto lat_rep_1 =
-      detection_latency_bound_silence(*model.replica2_in_lower, *d_rep, horizon);
-  const auto lat_rep_2 =
-      detection_latency_bound_silence(*model.replica1_in_lower, *d_rep, horizon);
-  SCCFT_ENSURES(lat_sel_1 && lat_sel_2 && lat_rep_1 && lat_rep_2);
-  report.selector_latency_bound = std::max(*lat_sel_1, *lat_sel_2);
-  report.replicator_divergence_bound = std::max(*lat_rep_1, *lat_rep_2);
+  report.selector_latency_bound =
+      worst_silence_latency(model.replica_out_lower, report.selector_threshold, horizon);
+  report.replicator_divergence_bound =
+      worst_silence_latency(model.replica_in_lower, report.replicator_threshold, horizon);
 
   // Replicator overflow rule: detection on the write attempt that finds the
   // dead replica's FIFO full. Worst case: FIFO empty at fault time, producer
   // at its minimum rate.
   const ZeroCurve silent;
-  const auto ovf1 = first_time_difference_reaches(
-      *model.producer_lower, silent, report.replicator_capacity1 + 1, horizon);
-  const auto ovf2 = first_time_difference_reaches(
-      *model.producer_lower, silent, report.replicator_capacity2 + 1, horizon);
-  SCCFT_ENSURES(ovf1.has_value() && ovf2.has_value());
-  report.replicator_overflow_bound = std::max(*ovf1, *ovf2);
+  for (const Tokens capacity : report.replicator_capacity) {
+    const auto fill_time = first_time_difference_reaches(*model.producer_lower, silent,
+                                                         capacity + 1, horizon);
+    SCCFT_ENSURES(fill_time.has_value());
+    report.replicator_overflow_bound =
+        std::max(report.replicator_overflow_bound, *fill_time);
+  }
 
   return report;
 }

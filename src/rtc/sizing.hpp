@@ -13,6 +13,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "rtc/curve.hpp"
 #include "rtc/time.hpp"
@@ -82,15 +83,13 @@ struct SupResult {
     const Curve& out1_lower, const Curve& out1_faulty_upper, const Curve& out2_lower,
     const Curve& out2_faulty_upper, Tokens threshold_d, TimeNs horizon);
 
-/// Bundle of all design-time quantities for one duplicated network, as
-/// produced by `analyze_duplicated_network`.
+/// Bundle of all design-time quantities for one replicated network, as
+/// produced by `analyze_duplicated_network`. Per-replica quantities hold one
+/// entry per replica, in replica order.
 struct SizingReport {
-  Tokens replicator_capacity1 = 0;  ///< |R1| (Eq. 3, replica 1 input)
-  Tokens replicator_capacity2 = 0;  ///< |R2|
-  Tokens selector_capacity1 = 0;    ///< |S1| (consumer-side, replica 1)
-  Tokens selector_capacity2 = 0;    ///< |S2|
-  Tokens selector_initial1 = 0;     ///< |S1|_0 initial tokens (Eq. 4)
-  Tokens selector_initial2 = 0;     ///< |S2|_0
+  std::vector<Tokens> replicator_capacity;  ///< |R_i| (Eq. 3, replica i's input FIFO)
+  std::vector<Tokens> selector_capacity;    ///< |S_i| (consumer side, replica i)
+  std::vector<Tokens> selector_initial;     ///< |S_i|_0 initial tokens (Eq. 4)
   Tokens replicator_threshold = 0;  ///< divergence threshold D at replicator (Eq. 5)
   Tokens selector_threshold = 0;    ///< divergence threshold D at selector (Eq. 5)
   /// Worst-case silence-fault detection latency of the replicator's
@@ -104,21 +103,22 @@ struct SizingReport {
   TimeNs selector_latency_bound = 0;    ///< Eq. (7)/(8) at the selector
 };
 
-/// Inputs to the sizing analysis: arrival-curve pairs for the producer, each
-/// replica's input consumption, each replica's output production, and the
-/// consumer's consumption.
+/// Inputs to the sizing analysis: arrival-curve pairs for the producer and
+/// the consumer, and per replica (one entry each, N >= 2) its input
+/// consumption and its output production.
 struct NetworkTimingModel {
   CurveRef producer_upper, producer_lower;
-  CurveRef replica1_in_upper, replica1_in_lower;
-  CurveRef replica2_in_upper, replica2_in_lower;
-  CurveRef replica1_out_upper, replica1_out_lower;
-  CurveRef replica2_out_upper, replica2_out_lower;
   CurveRef consumer_upper, consumer_lower;
+  std::vector<CurveRef> replica_in_upper, replica_in_lower;
+  std::vector<CurveRef> replica_out_upper, replica_out_lower;
 };
 
-/// Runs the complete Section 3.4 analysis. Throws util::ContractViolation if
-/// any bound is infeasible within `horizon` (e.g. producer faster than a
-/// replica can consume).
+/// Runs the complete Section 3.4 analysis for N replicas. Every quantity is
+/// the paper's per-replica form: Eq. (3)/(4) per replica, Eq. (5) as 1 + the
+/// largest sup over ordered replica pairs, Eq. (7)/(8) as the worst healthy
+/// replica. Throws util::ContractViolation if N < 2, the per-replica curve
+/// lists disagree in size, or any bound is infeasible within `horizon`
+/// (e.g. producer faster than a replica can consume).
 [[nodiscard]] SizingReport analyze_duplicated_network(const NetworkTimingModel& model,
                                                       TimeNs horizon);
 

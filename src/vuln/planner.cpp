@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "ft/fleet.hpp"
 #include "ft/framework.hpp"
 #include "rtc/sizing.hpp"
 #include "util/assert.hpp"
@@ -10,64 +11,37 @@
 namespace sccft::vuln {
 namespace {
 
-rtc::TimeNs sizing_horizon(const ProcessSpec& spec) {
-  return 100 * std::max({spec.producer.period, spec.stage.period,
-                         spec.consumer.period}) +
-         2 * std::max({spec.producer.jitter, spec.stage.jitter,
-                       spec.consumer.jitter});
+/// Timing of `spec` with `replicas` copies of its stage.
+ft::AppTimingSpec timing_of(const ProcessSpec& spec, int replicas) {
+  const auto n = static_cast<std::size_t>(replicas);
+  return ft::AppTimingSpec{.producer = spec.producer,
+                           .consumer = spec.consumer,
+                           .replica_in = std::vector<rtc::PJD>(n, spec.stage),
+                           .replica_out = std::vector<rtc::PJD>(n, spec.stage)};
 }
 
-/// Eq. (3) capacity of the unprotected pipeline's FIFOs.
+rtc::SizingReport size_replicated(const ProcessSpec& spec, int protection) {
+  const ft::AppTimingSpec timing = timing_of(spec, protection);
+  return rtc::analyze_duplicated_network(timing.to_model(), timing.default_horizon());
+}
+
+/// Eq. (3) capacity of the unprotected pipeline's FIFOs, over the horizon
+/// the replicated forms are sized with.
 rtc::Tokens pipeline_capacity(const ProcessSpec& spec) {
   const rtc::PJDUpperCurve producer_upper(spec.producer);
   const rtc::PJDLowerCurve stage_lower(spec.stage);
   const auto capacity = rtc::min_fifo_capacity(producer_upper, stage_lower,
-                                               sizing_horizon(spec));
+                                               timing_of(spec, 1).default_horizon());
   return std::max<rtc::Tokens>(capacity.value_or(1), 1);
 }
 
-/// Classic duplicated-pair sizing mapped into the N-ary report shape so one
-/// ft::replication_cost covers both protected forms.
-ft::NSizingReport size_pair(const ProcessSpec& spec) {
-  ft::AppTimingSpec timing;
-  timing.producer = spec.producer;
-  timing.replica1_in = timing.replica2_in = spec.stage;
-  timing.replica1_out = timing.replica2_out = spec.stage;
-  timing.consumer = spec.consumer;
-  const rtc::SizingReport s = rtc::analyze_duplicated_network(
-      timing.to_model(), timing.default_horizon());
-  ft::NSizingReport n;
-  n.replicator_capacity = {s.replicator_capacity1, s.replicator_capacity2};
-  n.selector_capacity = {s.selector_capacity1, s.selector_capacity2};
-  n.selector_initial = {s.selector_initial1, s.selector_initial2};
-  n.divergence_threshold = s.selector_threshold;
-  n.replicator_overflow_bound = s.replicator_overflow_bound;
-  n.selector_latency_bound = s.selector_latency_bound;
-  return n;
-}
-
-/// N-ary sizing with the payload vote's capacity floor (initial + D + 1), as
-/// NReplicaHarness allocates and ft/fleet.cpp places.
-ft::NSizingReport size_vote(const ProcessSpec& spec, int protection) {
-  ft::NReplicaTimingModel model;
-  model.producer_upper = rtc::make_curve<rtc::PJDUpperCurve>(spec.producer);
-  model.producer_lower = rtc::make_curve<rtc::PJDLowerCurve>(spec.producer);
-  model.consumer_upper = rtc::make_curve<rtc::PJDUpperCurve>(spec.consumer);
-  model.consumer_lower = rtc::make_curve<rtc::PJDLowerCurve>(spec.consumer);
-  for (int r = 0; r < protection; ++r) {
-    model.in_upper.push_back(rtc::make_curve<rtc::PJDUpperCurve>(spec.stage));
-    model.in_lower.push_back(rtc::make_curve<rtc::PJDLowerCurve>(spec.stage));
-    model.out_upper.push_back(rtc::make_curve<rtc::PJDUpperCurve>(spec.stage));
-    model.out_lower.push_back(rtc::make_curve<rtc::PJDLowerCurve>(spec.stage));
+void check_protection(const ProcessSpec& spec, int protection) {
+  if (protection < 1 || protection > 4) {
+    util::contract_failure_msg("precondition",
+                               "protection of stream '" + spec.name +
+                                   "' must be in 1..4, got " + std::to_string(protection),
+                               __FILE__, __LINE__);
   }
-  ft::NSizingReport sizing =
-      ft::analyze_n_replica_network(model, sizing_horizon(spec));
-  for (std::size_t i = 0; i < sizing.selector_capacity.size(); ++i) {
-    sizing.selector_capacity[i] =
-        std::max(sizing.selector_capacity[i],
-                 sizing.selector_initial[i] + sizing.divergence_threshold + 1);
-  }
-  return sizing;
 }
 
 std::uint64_t bytes_per_second(const ProcessSpec& spec) {
@@ -103,13 +77,12 @@ bool placement_fits(const Application& app, const std::vector<int>& protection,
 }  // namespace
 
 ft::ReplicationCost process_cost(const ProcessSpec& spec, int protection) {
-  SCCFT_EXPECTS(protection >= 1 && protection <= 4);
+  check_protection(spec, protection);
   if (protection == 1) {
     return ft::unreplicated_cost(pipeline_capacity(spec), spec.token_bytes);
   }
-  const ft::NSizingReport sizing =
-      protection == 2 ? size_pair(spec) : size_vote(spec, protection);
-  return ft::replication_cost(sizing, spec.token_bytes);
+  return ft::replication_cost(size_replicated(spec, protection), protection >= 3,
+                              spec.token_bytes);
 }
 
 scc::PlacementRequest build_placement_request(const Application& app,
@@ -121,57 +94,21 @@ scc::PlacementRequest build_placement_request(const Application& app,
   for (std::size_t i = 0; i < app.processes.size(); ++i) {
     const ProcessSpec& spec = app.processes[i];
     const int n = protection[i];
-    SCCFT_EXPECTS(n >= 1 && n <= 4);
-    const int base = static_cast<int>(request.processes.size());
+    check_protection(spec, n);
     const std::uint64_t weight = bytes_per_second(spec);
-    if (n >= 3) {
-      const ft::NSizingReport sizing = size_vote(spec, n);
-      request.processes.push_back({spec.name + ".producer", spec.index, -1, 0});
-      for (int r = 0; r < n; ++r) {
-        const auto ri = static_cast<std::size_t>(r);
-        request.processes.push_back(
-            {spec.name + ".r" + std::to_string(r + 1), spec.index, spec.index,
-             static_cast<std::size_t>(sizing.replicator_capacity[ri] +
-                                      sizing.selector_capacity[ri]) *
-                 spec.token_bytes});
-      }
-      request.processes.push_back({spec.name + ".consumer", spec.index, -1, 0});
-      const int consumer = base + 1 + n;
-      for (int r = 0; r < n; ++r) {
-        request.edges.push_back({base, base + 1 + r, weight});
-        request.edges.push_back({base + 1 + r, consumer, weight});
-      }
-    } else if (n == 2) {
-      const ft::NSizingReport sizing = size_pair(spec);
-      request.processes.push_back({spec.name + ".producer", spec.index, -1, 0});
-      request.processes.push_back(
-          {spec.name + ".r1", spec.index, spec.index,
-           static_cast<std::size_t>(sizing.replicator_capacity[0]) *
-               spec.token_bytes});
-      request.processes.push_back(
-          {spec.name + ".r2", spec.index, spec.index,
-           static_cast<std::size_t>(sizing.replicator_capacity[1]) *
-               spec.token_bytes});
-      request.processes.push_back(
-          {spec.name + ".consumer", spec.index, -1,
-           static_cast<std::size_t>(sizing.selector_capacity[0] +
-                                    sizing.selector_capacity[1]) *
-               spec.token_bytes});
-      request.edges.push_back({base, base + 1, weight});
-      request.edges.push_back({base, base + 2, weight});
-      request.edges.push_back({base + 1, base + 3, weight});
-      request.edges.push_back({base + 2, base + 3, weight});
-    } else {
-      const std::size_t fifo_bytes =
-          static_cast<std::size_t>(pipeline_capacity(spec)) * spec.token_bytes;
-      request.processes.push_back({spec.name + ".producer", spec.index, -1, 0});
-      request.processes.push_back(
-          {spec.name + ".stage", spec.index, -1, fifo_bytes});
-      request.processes.push_back(
-          {spec.name + ".consumer", spec.index, -1, fifo_bytes});
-      request.edges.push_back({base, base + 1, weight});
-      request.edges.push_back({base + 1, base + 2, weight});
+    if (n >= 2) {
+      ft::add_replicated_stream(request, spec.name, spec.index, size_replicated(spec, n),
+                                n >= 3, spec.token_bytes, weight);
+      continue;
     }
+    const int base = static_cast<int>(request.processes.size());
+    const std::size_t fifo_bytes =
+        static_cast<std::size_t>(pipeline_capacity(spec)) * spec.token_bytes;
+    request.processes.push_back({spec.name + ".producer", spec.index, -1, 0});
+    request.processes.push_back({spec.name + ".stage", spec.index, -1, fifo_bytes});
+    request.processes.push_back({spec.name + ".consumer", spec.index, -1, fifo_bytes});
+    request.edges.push_back({base, base + 1, weight});
+    request.edges.push_back({base + 1, base + 2, weight});
   }
   return request;
 }

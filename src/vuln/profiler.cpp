@@ -32,7 +32,7 @@ struct TrialOutcome {
   std::optional<rtc::TimeNs> detection_latency;
 };
 
-/// Consumer-side scoring shared by all three rigs: golden-value check after
+/// Consumer-side scoring shared by both rigs: golden-value check after
 /// the sensitivity mask, sequence continuity, and per-token deadlines
 /// against the golden schedule anchor + seq * period.
 struct Scorer {
@@ -238,118 +238,23 @@ TrialOutcome run_trial_unprotected(const ProcessSpec& spec,
   return outcome;
 }
 
-/// N = 2: the paper's supervised duplicated pair, faults through
-/// ft::FaultCampaign's classic wiring.
-TrialOutcome run_trial_pair(const ProcessSpec& spec,
-                            const chaos::StormPlan& plan) {
+/// N >= 2: the paper's supervised duplicated pair (N = 2), or the
+/// unsupervised payload-vote rig (N >= 3). Faults go through
+/// ft::FaultCampaign; only the pair has a Supervisor to act on them.
+TrialOutcome run_trial_replicated(const ProcessSpec& spec, int protection,
+                                  const chaos::StormPlan& plan) {
   sim::Simulator simulator;
   kpn::Network net(simulator);
 
+  const auto n = static_cast<std::size_t>(protection);
   ft::FaultTolerantHarness::Config config;
-  config.timing.producer = spec.producer;
-  config.timing.replica1_in = config.timing.replica2_in = spec.stage;
-  config.timing.replica1_out = config.timing.replica2_out = spec.stage;
-  config.timing.consumer = spec.consumer;
+  config.timing = ft::AppTimingSpec{.producer = spec.producer,
+                                    .consumer = spec.consumer,
+                                    .replica_in = std::vector<rtc::PJD>(n, spec.stage),
+                                    .replica_out = std::vector<rtc::PJD>(n, spec.stage)};
   config.name_prefix = spec.name;
+  config.enable_payload_vote = protection >= 3;
   ft::FaultTolerantHarness harness(net, config);
-
-  Scorer scorer;
-  scorer.spec = &spec;
-
-  const std::uint64_t seed = plan.seed;
-  net.add_process(spec.name + ".producer", scc::CoreId{0}, seed * 10 + 1,
-                  [&spec, &harness](kpn::ProcessContext& ctx) -> sim::Task {
-                    return producer_body(ctx, spec, harness.replicator());
-                  });
-  auto replica_body = [&spec, &harness](ft::ReplicaIndex which) {
-    return [&spec, &harness, which](kpn::ProcessContext& ctx) -> sim::Task {
-      kpn::TimingShaper emit(spec.stage, ctx.now(), ctx.rng());
-      rtc::TimeNs last_emit = -1;
-      while (true) {
-        SCCFT_FAULT_GATE(ctx);
-        kpn::Token token =
-            co_await kpn::read(harness.replicator().read_interface(which));
-        SCCFT_FAULT_GATE(ctx);
-        rtc::TimeNs target = emit.next_emission(ctx.now());
-        if (ctx.fault().rate_factor > 1.0 && last_emit >= 0) {
-          target = std::max(
-              target, last_emit + static_cast<rtc::TimeNs>(
-                                      ctx.fault().rate_factor *
-                                      static_cast<double>(spec.stage.period)));
-        }
-        if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
-        SCCFT_FAULT_GATE(ctx);
-        co_await kpn::write(harness.selector().write_interface(which), token);
-        emit.commit(ctx.now());
-        last_emit = ctx.now();
-      }
-    };
-  };
-  kpn::Process* r1 =
-      &net.add_process(spec.name + ".r1", scc::CoreId{2}, seed * 10 + 2,
-                       replica_body(ft::ReplicaIndex::kReplica1));
-  kpn::Process* r2 =
-      &net.add_process(spec.name + ".r2", scc::CoreId{4}, seed * 10 + 3,
-                       replica_body(ft::ReplicaIndex::kReplica2));
-  net.add_process(spec.name + ".consumer", scc::CoreId{6}, seed * 10 + 4,
-                  [&spec, &harness, &scorer](kpn::ProcessContext& ctx) -> sim::Task {
-                    return consumer_body(ctx, spec, harness.selector(), scorer);
-                  });
-
-  std::array<ft::ReplicaAssets, 2> assets{
-      ft::ReplicaAssets{ft::ReplicaIndex::kReplica1, {r1}, {}},
-      ft::ReplicaAssets{ft::ReplicaIndex::kReplica2, {r2}, {}}};
-  ft::Supervisor::Config supervisor_config;
-  supervisor_config.restart_budget = 3;
-  supervisor_config.initial_backoff = 20'000'000;
-  supervisor_config.detection_latency_bound =
-      std::min(harness.sizing().replicator_overflow_bound,
-               harness.sizing().selector_latency_bound);
-  supervisor_config.name = spec.name + ".sup";
-  supervisor_config.injection_subject = spec.name + ".faults";
-  ft::Supervisor supervisor(simulator, harness.replicator(), harness.selector(),
-                            assets, supervisor_config);
-
-  ft::FaultCampaign::Wiring wiring;
-  wiring.replicator = &harness.replicator();
-  wiring.selector = &harness.selector();
-  wiring.processes = {{r1}, {r2}};
-  wiring.supervisor = &supervisor;
-  ft::FaultCampaign campaign(simulator, wiring, spec.name + ".faults");
-  for (const ft::FaultSpec& fault : plan.faults) campaign.add(fault);
-  campaign.arm();
-
-  net.run_until(plan.run_length);
-  net.rethrow_failures();
-
-  TrialOutcome outcome;
-  outcome.injections = static_cast<int>(plan.faults.size());
-  outcome.delivered = scorer.delivered;
-  outcome.corruptions = scorer.corruptions;
-  outcome.divergences = scorer.divergences;
-  outcome.deadline_misses = scorer.misses;
-  outcome.detections = harness.detections().records.size();
-  if (!harness.detections().records.empty() && !plan.faults.empty()) {
-    outcome.detection_latency =
-        harness.detections().records.front().detected_at - plan.faults.front().at;
-  }
-  return outcome;
-}
-
-/// N >= 3: the unsupervised payload-vote rig.
-TrialOutcome run_trial_vote(const ProcessSpec& spec, int protection,
-                            const chaos::StormPlan& plan) {
-  sim::Simulator simulator;
-  kpn::Network net(simulator);
-
-  ft::NReplicaHarness::Config config;
-  config.producer = spec.producer;
-  config.consumer = spec.consumer;
-  config.replica_in.assign(static_cast<std::size_t>(protection), spec.stage);
-  config.replica_out = config.replica_in;
-  config.name_prefix = spec.name;
-  config.enable_payload_vote = true;
-  ft::NReplicaHarness harness(net, config);
 
   Scorer scorer;
   scorer.spec = &spec;
@@ -396,10 +301,29 @@ TrialOutcome run_trial_vote(const ProcessSpec& spec, int protection,
         return consumer_body(ctx, spec, harness.selector(), scorer);
       });
 
+  std::optional<ft::Supervisor> supervisor;
+  if (protection == 2) {
+    ft::Supervisor::Config supervisor_config;
+    supervisor_config.restart_budget = 3;
+    supervisor_config.initial_backoff = 20'000'000;
+    supervisor_config.detection_latency_bound =
+        std::min(harness.sizing().replicator_overflow_bound,
+                 harness.sizing().selector_latency_bound);
+    supervisor_config.name = spec.name + ".sup";
+    supervisor_config.injection_subject = spec.name + ".faults";
+    supervisor.emplace(
+        simulator, harness.replicator(), harness.selector(),
+        std::array<ft::ReplicaAssets, 2>{
+            ft::ReplicaAssets{ft::ReplicaIndex::kReplica1, replica_groups[0], {}},
+            ft::ReplicaAssets{ft::ReplicaIndex::kReplica2, replica_groups[1], {}}},
+        supervisor_config);
+  }
+
   ft::FaultCampaign::Wiring wiring;
   wiring.replicator = &harness.replicator();
   wiring.selector = &harness.selector();
   wiring.processes = std::move(replica_groups);
+  if (supervisor) wiring.supervisor = &*supervisor;
   ft::FaultCampaign campaign(simulator, wiring, spec.name + ".faults");
   for (const ft::FaultSpec& fault : plan.faults) campaign.add(fault);
   campaign.arm();
@@ -424,8 +348,7 @@ TrialOutcome run_trial_vote(const ProcessSpec& spec, int protection,
 TrialOutcome run_trial(const ProcessSpec& spec, int protection,
                        const chaos::StormPlan& plan) {
   if (protection <= 1) return run_trial_unprotected(spec, plan);
-  if (protection == 2) return run_trial_pair(spec, plan);
-  return run_trial_vote(spec, protection, plan);
+  return run_trial_replicated(spec, protection, plan);
 }
 
 }  // namespace

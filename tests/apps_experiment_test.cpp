@@ -50,10 +50,10 @@ TEST_P(ExperimentTest, ObservedFillsWithinTheoreticalCapacities) {
   auto options = fast_options();
   options.inject_fault = false;
   const auto result = runner.run(options);
-  EXPECT_LE(result.fill_r1, result.sizing.replicator_capacity1);
-  EXPECT_LE(result.fill_r2, result.sizing.replicator_capacity2);
-  EXPECT_LE(result.fill_s1, result.sizing.selector_capacity1);
-  EXPECT_LE(result.fill_s2, result.sizing.selector_capacity2);
+  EXPECT_LE(result.fill_r1, result.sizing.replicator_capacity[0]);
+  EXPECT_LE(result.fill_r2, result.sizing.replicator_capacity[1]);
+  EXPECT_LE(result.fill_s1, result.sizing.selector_capacity[0]);
+  EXPECT_LE(result.fill_s2, result.sizing.selector_capacity[1]);
 }
 
 TEST_P(ExperimentTest, Theorem2FunctionalEquivalence) {

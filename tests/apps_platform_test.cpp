@@ -86,7 +86,7 @@ TEST(PlatformIntegration, LongRunRemainsStable) {
   options.run_periods = 1'000;
   const auto result = runner.run(options);
   EXPECT_FALSE(result.any_detection);
-  EXPECT_LE(result.fill_r2, result.sizing.replicator_capacity2);
+  EXPECT_LE(result.fill_r2, result.sizing.replicator_capacity[1]);
   EXPECT_GT(result.output_checksums.size(), 980u);
 }
 

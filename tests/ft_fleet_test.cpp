@@ -5,11 +5,13 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "ft/fleet.hpp"
 #include "scc/placement.hpp"
 #include "scc/topology.hpp"
+#include "util/assert.hpp"
 
 namespace sccft::ft {
 namespace {
@@ -200,6 +202,20 @@ TEST(FleetSpec, ExplicitProtectionMatchesLegacyDerivation) {
   for (std::size_t i = 0; i < ra.processes.size(); ++i) {
     EXPECT_EQ(ra.processes[i].name, rb.processes[i].name);
     EXPECT_EQ(ra.processes[i].mpb_bytes, rb.processes[i].mpb_bytes);
+  }
+}
+
+TEST(FleetSpec, ProtectionOutOfRangeNamesStreamAndLevel) {
+  FleetSpec spec;
+  spec.streams = 3;
+  spec.protection = {2, 5, 1};
+  try {
+    (void)spec.materialize();
+    FAIL() << "protection 5 accepted";
+  } catch (const util::ContractViolation& violation) {
+    const std::string what = violation.what();
+    EXPECT_NE(what.find("stream 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("got 5"), std::string::npos) << what;
   }
 }
 

@@ -4,8 +4,10 @@
 #include <string>
 
 #include "apps/mjpeg/app.hpp"
+#include "ft/fault_injector.hpp"
 #include "ft/framework.hpp"
 #include "kpn/network.hpp"
+#include "scc/platform.hpp"
 #include "util/assert.hpp"
 
 namespace sccft::ft {
@@ -17,8 +19,8 @@ TEST(Harness, BuildsDimensionedChannels) {
   sim::Simulator sim;
   kpn::Network net(sim);
   FaultTolerantHarness harness(net, {.timing = mjpeg_timing()});
-  EXPECT_EQ(harness.sizing().replicator_capacity1, 2);
-  EXPECT_EQ(harness.sizing().replicator_capacity2, 3);
+  EXPECT_EQ(harness.sizing().replicator_capacity[0], 2);
+  EXPECT_EQ(harness.sizing().replicator_capacity[1], 3);
   EXPECT_EQ(harness.selector().space(ReplicaIndex::kReplica1), 4 - 2);
   EXPECT_EQ(harness.selector().space(ReplicaIndex::kReplica2), 6 - 3);
   EXPECT_NE(net.find_channel("ft.replicator"), nullptr);
@@ -76,6 +78,79 @@ TEST(Harness, NegativeOverridesAreRejectedWithTheOffendingValue) {
     EXPECT_NE(std::string(violation.what()).find("replicator_capacity_override"),
               std::string::npos);
     EXPECT_NE(std::string(violation.what()).find("-7"), std::string::npos);
+  }
+}
+
+/// Runs `body`, expecting a ContractViolation whose message names every
+/// string in `fragments`.
+template <typename Body>
+void expect_violation_naming(Body body, const std::vector<std::string>& fragments) {
+  try {
+    body();
+    FAIL() << "no contract violation";
+  } catch (const util::ContractViolation& violation) {
+    for (const std::string& fragment : fragments) {
+      EXPECT_NE(std::string(violation.what()).find(fragment), std::string::npos)
+          << violation.what() << " does not name " << fragment;
+    }
+  }
+}
+
+TEST(Harness, MalformedReplicaSetsAreRejectedWithTheirSizes) {
+  sim::Simulator sim;
+  kpn::Network net(sim);
+  AppTimingSpec single = mjpeg_timing();
+  single.replica_in.resize(1);
+  single.replica_out.resize(1);
+  expect_violation_naming(
+      [&] { FaultTolerantHarness harness(net, {.timing = single}); },
+      {"at least 2 replicas", "has 1"});
+
+  AppTimingSpec ragged = mjpeg_timing();
+  ragged.replica_out.push_back(ragged.replica_out.back());
+  expect_violation_naming(
+      [&] { FaultTolerantHarness harness(net, {.timing = ragged}); },
+      {"timing.replica_out has 3 entries", "timing.replica_in has 2"});
+
+  expect_violation_naming(
+      [&] {
+        FaultTolerantHarness harness(
+            net, {.timing = mjpeg_timing(), .replica_in_cores = {scc::CoreId{2}}});
+      },
+      {"replica_in_cores has 1 entries", "timing.replica_in has 2"});
+
+  scc::Platform platform(sim);
+  AppTimingSpec triple = mjpeg_timing();
+  triple.replica_in.push_back(triple.replica_in.back());
+  triple.replica_out.push_back(triple.replica_out.back());
+  const std::vector<scc::CoreId> cores{scc::CoreId{2}, scc::CoreId{4}, scc::CoreId{6}};
+  expect_violation_naming(
+      [&] {
+        FaultTolerantHarness harness(net, {.timing = triple,
+                                           .platform = &platform,
+                                           .replica_in_cores = cores,
+                                           .replica_out_cores = cores,
+                                           .enable_payload_vote = true});
+      },
+      {"enable_payload_vote", "platform", "3 replicas"});
+}
+
+TEST(Harness, VoteModeGrowsSelectorSidesToTheFloor) {
+  // N = 3 vote rig: every side's usable space must exceed D, so the harness
+  // builds each side with at least initial + D + 1 slots.
+  sim::Simulator sim;
+  kpn::Network net(sim);
+  AppTimingSpec triple = mjpeg_timing();
+  triple.replica_in.push_back(triple.replica_in.front());
+  triple.replica_out.push_back(triple.replica_out.front());
+  FaultTolerantHarness harness(net, {.timing = triple, .enable_payload_vote = true});
+  const rtc::SizingReport& sizing = harness.sizing();
+  ASSERT_EQ(sizing.selector_capacity.size(), 3u);
+  EXPECT_EQ(harness.selector().replica_count(), 3);
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(harness.selector().space(static_cast<ReplicaIndex>(r)),
+              sizing.selector_threshold + 1)
+        << r;
   }
 }
 

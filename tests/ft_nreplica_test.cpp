@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "ft/framework.hpp"
 #include "ft/nreplica.hpp"
 #include "ft/replicator.hpp"
 #include "ft/selector.hpp"
@@ -23,35 +24,27 @@ Token make_token(std::uint64_t seq) {
                seq, 0);
 }
 
-NReplicaTimingModel make_model(const std::vector<rtc::PJD>& replicas,
-                               const rtc::PJD& producer, const rtc::PJD& consumer) {
-  NReplicaTimingModel model;
-  model.producer_upper = rtc::make_curve<rtc::PJDUpperCurve>(producer);
-  model.producer_lower = rtc::make_curve<rtc::PJDLowerCurve>(producer);
-  model.consumer_upper = rtc::make_curve<rtc::PJDUpperCurve>(consumer);
-  model.consumer_lower = rtc::make_curve<rtc::PJDLowerCurve>(consumer);
-  for (const auto& pjd : replicas) {
-    model.in_upper.push_back(rtc::make_curve<rtc::PJDUpperCurve>(pjd));
-    model.in_lower.push_back(rtc::make_curve<rtc::PJDLowerCurve>(pjd));
-    model.out_upper.push_back(rtc::make_curve<rtc::PJDUpperCurve>(pjd));
-    model.out_lower.push_back(rtc::make_curve<rtc::PJDLowerCurve>(pjd));
-  }
-  return model;
+rtc::NetworkTimingModel make_model(const std::vector<rtc::PJD>& replicas,
+                                   const rtc::PJD& producer, const rtc::PJD& consumer) {
+  return AppTimingSpec{.producer = producer,
+                       .consumer = consumer,
+                       .replica_in = replicas,
+                       .replica_out = replicas}
+      .to_model();
 }
 
 TEST(NSizing, TwoReplicaCaseMatchesPairAnalysis) {
-  // The N=2 analysis must agree with the dedicated two-replica analysis for
-  // the MJPEG models.
+  // At N = 2 the analysis reproduces the paper's MJPEG numbers (Table 2).
   const auto producer = rtc::PJD::from_ms(30, 2, 30);
   const auto consumer = rtc::PJD::from_ms(30, 2, 30);
   const auto r1 = rtc::PJD::from_ms(30, 5, 30);
   const auto r2 = rtc::PJD::from_ms(30, 30, 30);
-  const auto report = analyze_n_replica_network(make_model({r1, r2}, producer, consumer),
-                                                rtc::from_ms(5000.0));
+  const auto report = rtc::analyze_duplicated_network(
+      make_model({r1, r2}, producer, consumer), rtc::from_ms(5000.0));
   EXPECT_EQ(report.replicator_capacity, (std::vector<rtc::Tokens>{2, 3}));
   EXPECT_EQ(report.selector_capacity, (std::vector<rtc::Tokens>{4, 6}));
   EXPECT_EQ(report.selector_initial, (std::vector<rtc::Tokens>{2, 3}));
-  EXPECT_EQ(report.divergence_threshold, 4);
+  EXPECT_EQ(report.selector_threshold, 4);
   EXPECT_EQ(report.selector_latency_bound, rtc::from_ms(240.0));
   EXPECT_EQ(report.replicator_overflow_bound, rtc::from_ms(122.0));
 }
@@ -61,20 +54,20 @@ TEST(NSizing, ThresholdSetByWorstPair) {
   const auto consumer = rtc::PJD::from_ms(10, 1, 10);
   const auto tight = rtc::PJD::from_ms(10, 2, 10);
   const auto loose = rtc::PJD::from_ms(10, 20, 10);
-  const auto pair = analyze_n_replica_network(
+  const auto pair = rtc::analyze_duplicated_network(
       make_model({tight, loose}, producer, consumer), rtc::from_ms(5000.0));
-  const auto triple = analyze_n_replica_network(
+  const auto triple = rtc::analyze_duplicated_network(
       make_model({tight, tight, loose}, producer, consumer), rtc::from_ms(5000.0));
   // Adding another tight replica cannot worsen the worst pair.
-  EXPECT_EQ(triple.divergence_threshold, pair.divergence_threshold);
+  EXPECT_EQ(triple.selector_threshold, pair.selector_threshold);
   EXPECT_EQ(triple.replicator_capacity.size(), 3u);
 }
 
 TEST(NSizing, RejectsSingleReplica) {
   const auto producer = rtc::PJD::from_ms(10, 1, 10);
   EXPECT_THROW(
-      (void)analyze_n_replica_network(make_model({producer}, producer, producer),
-                                      rtc::from_ms(1000.0)),
+      (void)rtc::analyze_duplicated_network(make_model({producer}, producer, producer),
+                                            rtc::from_ms(1000.0)),
       util::ContractViolation);
 }
 
@@ -88,13 +81,13 @@ TEST(NCost, ReplicationCostPinnedAgainstSizing) {
   const auto stage = rtc::PJD::from_ms(10, 2, 10);
   const auto horizon = rtc::from_ms(5000.0);
 
-  const auto pair = analyze_n_replica_network(
+  const auto pair = rtc::analyze_duplicated_network(
       make_model({stage, stage}, producer, consumer), horizon);
-  EXPECT_EQ(replication_cost(pair, 8), (ReplicationCost{2, 96, 4}));
+  EXPECT_EQ(replication_cost(pair, false, 8), (ReplicationCost{2, 96, 4}));
 
-  const auto triple = analyze_n_replica_network(
+  const auto triple = rtc::analyze_duplicated_network(
       make_model({stage, stage, stage}, producer, consumer), horizon);
-  const ReplicationCost vote = replication_cost(triple, 8);
+  const ReplicationCost vote = replication_cost(triple, false, 8);
   EXPECT_EQ(vote.cores, 3);
   EXPECT_EQ(vote.noc_links, 6);
   rtc::Tokens slots = 0;
@@ -106,7 +99,7 @@ TEST(NCost, ReplicationCostPinnedAgainstSizing) {
 
   // Guard rails: degenerate inputs are contract violations, not zero costs.
   EXPECT_THROW((void)unreplicated_cost(0, 8), util::ContractViolation);
-  EXPECT_THROW((void)replication_cost(NSizingReport{}, 8),
+  EXPECT_THROW((void)replication_cost(rtc::SizingReport{}, false, 8),
                util::ContractViolation);
 }
 

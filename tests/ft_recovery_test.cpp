@@ -28,8 +28,8 @@ struct Rig {
 
   Rig() {
     timing.producer = rtc::PJD::from_ms(10, 1, 10);
-    timing.replica1_in = timing.replica1_out = rtc::PJD::from_ms(10, 2, 10);
-    timing.replica2_in = timing.replica2_out = rtc::PJD::from_ms(10, 6, 10);
+    timing.replica_in = timing.replica_out = {rtc::PJD::from_ms(10, 2, 10),
+                                              rtc::PJD::from_ms(10, 6, 10)};
     timing.consumer = rtc::PJD::from_ms(10, 1, 10);
     harness.emplace(net, FaultTolerantHarness::Config{.timing = timing});
 
@@ -63,9 +63,9 @@ struct Rig {
       };
     };
     replicas.push_back(&net.add_process(
-        "r1", scc::CoreId{2}, 2, replica_body(ReplicaIndex::kReplica1, timing.replica1_out)));
+        "r1", scc::CoreId{2}, 2, replica_body(ReplicaIndex::kReplica1, timing.replica_out[0])));
     replicas.push_back(&net.add_process(
-        "r2", scc::CoreId{4}, 3, replica_body(ReplicaIndex::kReplica2, timing.replica2_out)));
+        "r2", scc::CoreId{4}, 3, replica_body(ReplicaIndex::kReplica2, timing.replica_out[1])));
 
     net.add_process("consumer", scc::CoreId{6}, 4,
                     [this](kpn::ProcessContext& ctx) -> sim::Task {
@@ -193,8 +193,8 @@ TEST(Recovery, ReintegrationClearsDetectionState) {
   kpn::Network net(simulator);
   ft::AppTimingSpec timing;
   timing.producer = rtc::PJD::from_ms(10, 1, 10);
-  timing.replica1_in = timing.replica1_out = rtc::PJD::from_ms(10, 2, 10);
-  timing.replica2_in = timing.replica2_out = rtc::PJD::from_ms(10, 6, 10);
+  timing.replica_in = timing.replica_out = {rtc::PJD::from_ms(10, 2, 10),
+                                            rtc::PJD::from_ms(10, 6, 10)};
   timing.consumer = rtc::PJD::from_ms(10, 1, 10);
   FaultTolerantHarness harness(net, {.timing = timing});
 

@@ -19,12 +19,12 @@ TEST(GoldenValues, H264SizingPinned) {
   const auto app = apps::h264::make_application();
   const auto report = rtc::analyze_duplicated_network(app.timing.to_model(),
                                                       app.timing.default_horizon());
-  EXPECT_EQ(report.replicator_capacity1, 2);
-  EXPECT_EQ(report.replicator_capacity2, 2);
-  EXPECT_EQ(report.selector_capacity1, 4);
-  EXPECT_EQ(report.selector_capacity2, 4);
-  EXPECT_EQ(report.selector_initial1, 2);
-  EXPECT_EQ(report.selector_initial2, 2);
+  EXPECT_EQ(report.replicator_capacity[0], 2);
+  EXPECT_EQ(report.replicator_capacity[1], 2);
+  EXPECT_EQ(report.selector_capacity[0], 4);
+  EXPECT_EQ(report.selector_capacity[1], 4);
+  EXPECT_EQ(report.selector_initial[0], 2);
+  EXPECT_EQ(report.selector_initial[1], 2);
   EXPECT_EQ(report.selector_threshold, 3);
   EXPECT_EQ(report.replicator_overflow_bound, rtc::from_ms(91.0));
   EXPECT_EQ(report.selector_latency_bound, rtc::from_ms(170.0));
@@ -35,8 +35,8 @@ TEST(GoldenValues, MinimizedJitterGivesUnitCapacity) {
   const auto app = apps::minimize_replica_jitter(apps::mjpeg::make_application());
   const auto report = rtc::analyze_duplicated_network(app.timing.to_model(),
                                                       app.timing.default_horizon());
-  EXPECT_EQ(report.replicator_capacity1, 1);
-  EXPECT_EQ(report.replicator_capacity2, 1);
+  EXPECT_EQ(report.replicator_capacity[0], 1);
+  EXPECT_EQ(report.replicator_capacity[1], 1);
   EXPECT_EQ(report.selector_threshold, 2);
 }
 

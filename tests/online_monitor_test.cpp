@@ -194,8 +194,8 @@ struct SupervisorRig {
 
   SupervisorRig() {
     timing.producer = rtc::PJD::from_ms(10, 1, 10);
-    timing.replica1_in = timing.replica1_out = rtc::PJD::from_ms(10, 2, 10);
-    timing.replica2_in = timing.replica2_out = rtc::PJD::from_ms(10, 6, 10);
+    timing.replica_in = timing.replica_out = {rtc::PJD::from_ms(10, 2, 10),
+                                              rtc::PJD::from_ms(10, 6, 10)};
     timing.consumer = rtc::PJD::from_ms(10, 1, 10);
     harness.emplace(net, ft::FaultTolerantHarness::Config{.timing = timing});
   }

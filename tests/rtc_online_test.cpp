@@ -336,19 +336,19 @@ TEST(OnlineDimensioner, MeasuredRequirementsStayWithinTheDesign) {
 
   const TimeNs base = app.timing.producer.period;
   const auto producer = measure(app.timing.producer, base, 3);
-  const auto r1 = measure(app.timing.replica1_out, base, 4);
-  const auto r2 = measure(app.timing.replica2_out, base, 5);
+  const auto r1 = measure(app.timing.replica_out[0], base, 4);
+  const auto r2 = measure(app.timing.replica_out[1], base, 5);
 
   const OnlineMargins margins = redimension(producer, r1, r2, model, designed);
   EXPECT_GT(margins.horizon, 0);
-  EXPECT_EQ(margins.designed_fifo1, designed.replicator_capacity1);
+  EXPECT_EQ(margins.designed_fifo1, designed.replicator_capacity[0]);
   EXPECT_EQ(margins.designed_divergence, designed.selector_threshold);
 
   ASSERT_TRUE(margins.measured_fifo1.has_value());
   ASSERT_TRUE(margins.measured_fifo2.has_value());
   EXPECT_GE(*margins.measured_fifo1, 1);
-  EXPECT_LE(*margins.measured_fifo1, designed.replicator_capacity1);
-  EXPECT_LE(*margins.measured_fifo2, designed.replicator_capacity2);
+  EXPECT_LE(*margins.measured_fifo1, designed.replicator_capacity[0]);
+  EXPECT_LE(*margins.measured_fifo2, designed.replicator_capacity[1]);
 
   ASSERT_TRUE(margins.measured_divergence.has_value());
   EXPECT_GE(*margins.measured_divergence, 1);
@@ -372,7 +372,7 @@ TEST(OnlineDimensioner, EmptySnapshotsReportNoMeasurements) {
   EXPECT_FALSE(margins.measured_fifo1.has_value());
   EXPECT_FALSE(margins.measured_divergence.has_value());
   EXPECT_FALSE(margins.measured_latency.has_value());
-  EXPECT_EQ(margins.designed_fifo1, designed.replicator_capacity1);
+  EXPECT_EQ(margins.designed_fifo1, designed.replicator_capacity[0]);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Parameterized property sweeps over the Section 3.4 analysis: monotonicity,
 // scaling, and symmetry laws that must hold for every PJD configuration —
-// plus brute-force oracles for the min-plus operators' candidate sets.
+// plus brute-force oracles for the candidate sets of the min-plus operators
+// and of the sup/first-reach probes the sizing analysis is built on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "rtc/curve.hpp"
@@ -97,25 +99,23 @@ TEST_P(SizingLaws, LatencyBoundDominatesCapacityFillTime) {
 TEST_P(SizingLaws, ReportInternallyConsistent) {
   const auto& param = GetParam();
   NetworkTimingModel model;
-  auto fill = [](const PJD& pjd, CurveRef& upper, CurveRef& lower) {
-    upper = make_curve<PJDUpperCurve>(pjd);
-    lower = make_curve<PJDLowerCurve>(pjd);
-  };
-  fill(param.producer, model.producer_upper, model.producer_lower);
-  fill(param.producer, model.replica1_in_upper, model.replica1_in_lower);
-  fill(param.slow_replica, model.replica2_in_upper, model.replica2_in_lower);
-  fill(param.producer, model.replica1_out_upper, model.replica1_out_lower);
-  fill(param.slow_replica, model.replica2_out_upper, model.replica2_out_lower);
-  fill(param.producer, model.consumer_upper, model.consumer_lower);
+  model.producer_upper = model.consumer_upper = make_curve<PJDUpperCurve>(param.producer);
+  model.producer_lower = model.consumer_lower = make_curve<PJDLowerCurve>(param.producer);
+  for (const PJD& replica : {param.producer, param.slow_replica}) {
+    model.replica_in_upper.push_back(make_curve<PJDUpperCurve>(replica));
+    model.replica_in_lower.push_back(make_curve<PJDLowerCurve>(replica));
+  }
+  model.replica_out_upper = model.replica_in_upper;
+  model.replica_out_lower = model.replica_in_lower;
   const auto report = analyze_duplicated_network(model, kHorizon);
 
   // The slow replica always needs at least as much of everything.
-  EXPECT_GE(report.replicator_capacity2, report.replicator_capacity1);
-  EXPECT_GE(report.selector_capacity2, report.selector_capacity1);
-  EXPECT_GE(report.selector_initial2, report.selector_initial1);
+  EXPECT_GE(report.replicator_capacity[1], report.replicator_capacity[0]);
+  EXPECT_GE(report.selector_capacity[1], report.selector_capacity[0]);
+  EXPECT_GE(report.selector_initial[1], report.selector_initial[0]);
   // Selector capacity covers its initial fill.
-  EXPECT_GT(report.selector_capacity1, report.selector_initial1);
-  EXPECT_GT(report.selector_capacity2, report.selector_initial2);
+  EXPECT_GT(report.selector_capacity[0], report.selector_initial[0]);
+  EXPECT_GT(report.selector_capacity[1], report.selector_initial[1]);
   // Thresholds and bounds are positive and ordered sanely.
   EXPECT_GE(report.selector_threshold, 2);
   EXPECT_GT(report.selector_latency_bound, 0);
@@ -201,6 +201,37 @@ TEST(MinPlusOracle, DeconvMatchesBruteForceOnRandomStaircases) {
                 deconv_oracle(f, g, delta, kHorizon))
           << "trial " << trial << " delta " << delta << " f=" << f.describe()
           << " g=" << g.describe();
+    }
+  }
+}
+
+TEST(SupDifferenceOracle, MatchesBruteForceOnRandomStaircases) {
+  // sup_difference and first_time_difference_reaches probe only the merged
+  // jump-point candidates of both curves; every integer Delta is the oracle.
+  util::Xoshiro256 rng(3141);
+  constexpr TimeNs kHorizon = 50;
+  for (int trial = 0; trial < 200; ++trial) {
+    const StaircaseCurve f = random_staircase(rng, "f");
+    const StaircaseCurve g = random_staircase(rng, "g");
+    Tokens best = f.value_at(0) - g.value_at(0);
+    TimeNs best_at = 0;
+    for (TimeNs delta = 1; delta <= kHorizon; ++delta) {
+      if (f.value_at(delta) - g.value_at(delta) > best) {
+        best = f.value_at(delta) - g.value_at(delta);
+        best_at = delta;
+      }
+    }
+    const SupResult sup = sup_difference(f, g, kHorizon);
+    ASSERT_EQ(sup.value, best) << "trial " << trial << " f=" << f.describe()
+                               << " g=" << g.describe();
+    ASSERT_EQ(sup.at, best_at) << "trial " << trial;
+    for (Tokens target = best - 2; target <= best + 1; ++target) {
+      std::optional<TimeNs> first;
+      for (TimeNs delta = 0; delta <= kHorizon && !first; ++delta) {
+        if (f.value_at(delta) - g.value_at(delta) >= target) first = delta;
+      }
+      ASSERT_EQ(first_time_difference_reaches(f, g, target, kHorizon), first)
+          << "trial " << trial << " target " << target;
     }
   }
 }

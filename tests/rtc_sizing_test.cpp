@@ -25,23 +25,23 @@ SizingReport analyze(const ApplicationSpec& app) {
 // ---- Paper Table 2, MJPEG row: |R1| |R2| |S1| |S2| |S1|_0 |S2|_0 ----------
 TEST(SizingPaperNumbers, MjpegCapacitiesMatchTable2) {
   const auto report = analyze(apps::mjpeg::make_application());
-  EXPECT_EQ(report.replicator_capacity1, 2);
-  EXPECT_EQ(report.replicator_capacity2, 3);
-  EXPECT_EQ(report.selector_capacity1, 4);
-  EXPECT_EQ(report.selector_capacity2, 6);
-  EXPECT_EQ(report.selector_initial1, 2);
-  EXPECT_EQ(report.selector_initial2, 3);
+  EXPECT_EQ(report.replicator_capacity[0], 2);
+  EXPECT_EQ(report.replicator_capacity[1], 3);
+  EXPECT_EQ(report.selector_capacity[0], 4);
+  EXPECT_EQ(report.selector_capacity[1], 6);
+  EXPECT_EQ(report.selector_initial[0], 2);
+  EXPECT_EQ(report.selector_initial[1], 3);
 }
 
 // ---- Paper Table 2, ADPCM row ----------------------------------------------
 TEST(SizingPaperNumbers, AdpcmCapacitiesMatchTable2) {
   const auto report = analyze(apps::adpcm::make_application());
-  EXPECT_EQ(report.replicator_capacity1, 2);
-  EXPECT_EQ(report.replicator_capacity2, 4);
-  EXPECT_EQ(report.selector_capacity1, 4);
-  EXPECT_EQ(report.selector_capacity2, 8);
-  EXPECT_EQ(report.selector_initial1, 2);
-  EXPECT_EQ(report.selector_initial2, 4);
+  EXPECT_EQ(report.replicator_capacity[0], 2);
+  EXPECT_EQ(report.replicator_capacity[1], 4);
+  EXPECT_EQ(report.selector_capacity[0], 4);
+  EXPECT_EQ(report.selector_capacity[1], 8);
+  EXPECT_EQ(report.selector_initial[0], 2);
+  EXPECT_EQ(report.selector_initial[1], 4);
 }
 
 TEST(SizingPaperNumbers, MjpegDetectionBoundsAreFiniteAndOrdered) {

@@ -58,7 +58,7 @@ ctest --test-dir "${build_dir}" -j "$(nproc)" --output-on-failure -LE bench
 # inside them — the quiesce/apply/resume path, the suspended-rule deque, and
 # the frontier-hold interactions all churn channel state under the sanitizer.
 "${build_dir}/bench/chaos_soak" --runs 30 --jobs 4 --reconfigure --csv "${build_dir}/chaos_soak_reconfig_sanitized.csv" > /dev/null
-# N-replica storms drive the payload-vote rig (NReplicator/NSelector with
+# N-replica storms drive the payload-vote rig (the harness in vote mode with
 # three interfaces, cross-replica double faults, vote-conviction sweeps) —
 # the selective-replication machinery's hot path under the sanitizer.
 "${build_dir}/bench/chaos_soak" --runs 30 --jobs 4 --nreplica 3 --csv "${build_dir}/chaos_soak_nreplica_sanitized.csv" > /dev/null

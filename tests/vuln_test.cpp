@@ -323,6 +323,24 @@ TEST(VulnPlanner, MixedProtectionPlacementRequestPinned) {
   EXPECT_EQ(request.max_processes_per_core, 1);
 }
 
+TEST(VulnPlanner, ProtectionOutOfRangeNamesStreamAndLevel) {
+  const Application app = reference_application();
+  auto expect_named = [](auto body, const std::string& stream, const std::string& level) {
+    try {
+      body();
+      FAIL() << "protection " << level << " accepted";
+    } catch (const util::ContractViolation& violation) {
+      const std::string what = violation.what();
+      EXPECT_NE(what.find("'" + stream + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("got " + level), std::string::npos) << what;
+    }
+  };
+  expect_named([&] { (void)process_cost(app.processes[6], 0); }, "ledger", "0");
+  expect_named(
+      [&] { (void)build_placement_request(app, {1, 1, 1, 1, 1, 1, 1, 7}); },
+      "guidance", "7");
+}
+
 TEST(VulnPlanner, RejectsMismatchedProfile) {
   const Application app = reference_application();
   VulnerabilityProfile profile;  // empty: wrong process count
