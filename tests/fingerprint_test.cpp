@@ -17,6 +17,7 @@
 #include "apps/common/experiment.hpp"
 #include "chaos/runner.hpp"
 #include "chaos/storm.hpp"
+#include "ft/fleet.hpp"
 #include "util/crc32.hpp"
 #include "vuln/profile.hpp"
 #include "vuln/profiler.hpp"
@@ -83,6 +84,63 @@ TEST(Fingerprint, ChaosStormRun) {
   EXPECT_EQ(crc_fold(obs.consumed_fingerprints), 1813323357u);
 }
 
+TEST(Fingerprint, ChaosControlPlaneStormRun) {
+  // Watchdog and scrubber armed: seed 13 trips the per-tile watchdog and
+  // repairs counter flips, so the replica loops' heartbeat kicks and the
+  // supervisor's self-watchdog both shape the schedule.
+  chaos::StormConfig config;
+  config.control_plane = true;
+  const chaos::StormPlan plan = chaos::StormGenerator(config).generate(13);
+  chaos::RunOptions options;
+  options.control_plane.enabled = true;
+  const chaos::RunObservation obs = chaos::run_storm(plan, options);
+
+  ASSERT_FALSE(obs.contract_violation.has_value());
+  EXPECT_EQ(obs.events_processed, 1617u);
+  EXPECT_EQ(crc_fold(obs.consumed_seqs), 912480545u);
+  EXPECT_EQ(crc_fold(obs.consumed_fingerprints), 1813323357u);
+  EXPECT_EQ(obs.watchdog_resets, 9u);
+  EXPECT_EQ(obs.heartbeats, 80u);
+  EXPECT_EQ(obs.scrub_repairs, 15u);
+}
+
+TEST(Fingerprint, ChaosReconfigureStormRun) {
+  chaos::StormConfig config;
+  config.reconfigure = true;
+  const chaos::StormPlan plan = chaos::StormGenerator(config).generate(4);
+  chaos::RunOptions options;
+  options.reconfig.enabled = true;
+  const chaos::RunObservation obs = chaos::run_storm(plan, options);
+
+  ASSERT_FALSE(obs.contract_violation.has_value());
+  EXPECT_EQ(obs.events_processed, 1296u);
+  EXPECT_EQ(crc_fold(obs.consumed_seqs), 912480545u);
+  EXPECT_EQ(crc_fold(obs.consumed_fingerprints), 1813323357u);
+  EXPECT_EQ(obs.reconfig_windows, 7u);
+}
+
+TEST(Fingerprint, MixedProtectionFleetRun) {
+  // One stream per protection level (3, 1, 2, 1, 4), each protected stream
+  // losing replica 1 to a transient silence.
+  ft::FleetSpec spec;
+  spec.streams = 5;
+  spec.protection = {3, 1, 2, 1, 4};
+  const ft::FleetRunResult result = ft::run_fleet(spec);
+
+  EXPECT_EQ(result.events_processed, 4053u);
+  std::vector<std::uint64_t> consumed;
+  std::vector<rtc::TimeNs> latency;
+  std::vector<int> restarts;
+  for (const ft::FleetStreamOutcome& stream : result.streams) {
+    consumed.push_back(stream.tokens_consumed);
+    latency.push_back(stream.detection_latency.value_or(-1));
+    restarts.push_back(stream.restarts);
+  }
+  EXPECT_EQ(consumed, (std::vector<std::uint64_t>{101, 108, 121, 147, 165}));
+  EXPECT_EQ(latency, (std::vector<rtc::TimeNs>{15567232, -1, 13322438, -1, 9560480}));
+  EXPECT_EQ(restarts, (std::vector<int>{0, 0, 1, 0, 0}));
+}
+
 // --- N >= 3 payload-vote rig ---------------------------------------------
 // Event counts, delivered streams, vote counters and channel convictions of
 // the unsupervised vote rig, plus one vote-rig vulnerability profile.
@@ -100,9 +158,8 @@ struct NStormPin {
   std::size_t detections = 0;
 };
 
-NStormPin pin_n_storm(const chaos::StormPlan& plan) {
-  chaos::RunOptions options;
-  options.nreplica = 3;
+NStormPin pin_n_storm(const chaos::StormPlan& plan,
+                      chaos::RunOptions options = {.nreplica = 3}) {
   const chaos::RunObservation obs = chaos::run_storm(plan, options);
   EXPECT_FALSE(obs.contract_violation.has_value());
   std::vector<std::int64_t> detections;
@@ -152,6 +209,16 @@ TEST(Fingerprint, NReplicaStormRunSeed2) {
 TEST(Fingerprint, NReplicaStormRunSeed3) {
   expect_pin(pin_n_storm(n_storm_plan(3)),
              NStormPin{1503, 199, 912480545u, 1813323357u, 0, 0, 889649471u, 2});
+}
+
+TEST(Fingerprint, NReplicaStormRunFourReplicas) {
+  chaos::StormConfig config;
+  config.nreplica = 4;
+  config.allow_noc = false;
+  const chaos::StormPlan plan = chaos::StormGenerator(config).generate(1);
+  chaos::RunOptions options;
+  options.nreplica = 4;
+  expect_pin(pin_n_storm(plan, options), NStormPin{1884, 199, 912480545u, 1813323357u, 0, 0, 59147446u, 2});
 }
 
 TEST(Fingerprint, NReplicaPayloadCorruptionRun) {
