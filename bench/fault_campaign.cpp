@@ -30,9 +30,9 @@
 #include "bench/campaign.hpp"
 #include "ft/fault_plan.hpp"
 #include "ft/framework.hpp"
+#include "ft/stream.hpp"
 #include "ft/supervisor.hpp"
 #include "kpn/network.hpp"
-#include "kpn/timing.hpp"
 #include "scc/platform.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -94,80 +94,26 @@ RunOutcome run_once(const Scenario& scenario, std::uint64_t seed) {
   ft::FaultTolerantHarness harness(net, config);
 
   RunOutcome outcome;
-  outcome.bound = std::min(harness.sizing().replicator_overflow_bound,
-                           harness.sizing().selector_latency_bound);
+  outcome.bound = harness.sizing().detection_bound();
 
   std::vector<std::uint64_t> consumed_seqs;
   std::vector<rtc::TimeNs> consumed_times;
-
-  net.add_process("producer", scc::CoreId{0}, seed * 10 + 1,
-                  [&](kpn::ProcessContext& ctx) -> sim::Task {
-                    kpn::TimingShaper shaper(timing.producer, 0, ctx.rng());
-                    for (std::uint64_t k = 0;; ++k) {
-                      const rtc::TimeNs t = shaper.next_emission(ctx.now());
-                      if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-                      std::vector<std::uint8_t> payload(4, static_cast<std::uint8_t>(k));
-                      co_await kpn::write(harness.replicator(),
-                                          kpn::Token(std::move(payload), k, ctx.now()));
-                      shaper.commit(ctx.now());
-                    }
-                  });
-
-  auto replica_body = [&](ft::ReplicaIndex which, rtc::PJD model) {
-    return [&harness, which, model](kpn::ProcessContext& ctx) -> sim::Task {
-      kpn::TimingShaper emit(model, ctx.now(), ctx.rng());
-      rtc::TimeNs last_emit = -1;
-      while (true) {
-        SCCFT_FAULT_GATE(ctx);
-        kpn::Token token =
-            co_await kpn::read(harness.replicator().read_interface(which));
-        SCCFT_FAULT_GATE(ctx);
-        rtc::TimeNs target = emit.next_emission(ctx.now());
-        // A rate-degraded replica emits at least factor * period apart (the
-        // paper's "does so at a rate lower than expected").
-        if (ctx.fault().rate_factor > 1.0 && last_emit >= 0) {
-          target = std::max(target,
-                            last_emit + static_cast<rtc::TimeNs>(
-                                            ctx.fault().rate_factor *
-                                            static_cast<double>(model.period)));
-        }
-        if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
-        SCCFT_FAULT_GATE(ctx);
-        co_await kpn::write(harness.selector().write_interface(which), token);
-        emit.commit(ctx.now());
-        last_emit = ctx.now();
-      }
-    };
+  std::uint64_t expected = 0;
+  ft::SyntheticStream stream{.seed = seed};
+  stream.on_token = [&](const kpn::Token& token, rtc::TimeNs now) {
+    if (token.seq() > expected) outcome.gap = true;
+    if (token.seq() < expected) outcome.duplicate = true;
+    if (!token.verify_checksum()) ++outcome.corrupt_delivered;
+    expected = token.seq() + 1;
+    consumed_seqs.push_back(token.seq());
+    consumed_times.push_back(now);
   };
-  std::vector<kpn::Process*> replicas;
-  replicas.push_back(&net.add_process(
-      "r1", scc::CoreId{2}, seed * 10 + 2,
-      replica_body(ft::ReplicaIndex::kReplica1, timing.replica_out[0])));
-  replicas.push_back(&net.add_process(
-      "r2", scc::CoreId{4}, seed * 10 + 3,
-      replica_body(ft::ReplicaIndex::kReplica2, timing.replica_out[1])));
-
-  net.add_process("consumer", scc::CoreId{6}, seed * 10 + 4,
-                  [&](kpn::ProcessContext& ctx) -> sim::Task {
-                    kpn::TimingShaper shaper(timing.consumer, 0, ctx.rng());
-                    std::uint64_t expected = 0;
-                    while (true) {
-                      const rtc::TimeNs t = shaper.next_emission(ctx.now());
-                      if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-                      kpn::Token token = co_await kpn::read(harness.selector());
-                      shaper.commit(ctx.now());
-                      if (token.seq() > expected) outcome.gap = true;
-                      if (token.seq() < expected) outcome.duplicate = true;
-                      if (!token.verify_checksum()) ++outcome.corrupt_delivered;
-                      expected = token.seq() + 1;
-                      consumed_seqs.push_back(token.seq());
-                      consumed_times.push_back(ctx.now());
-                    }
-                  });
+  const std::vector<std::vector<kpn::Process*>> replicas =
+      ft::add_synthetic_stream(net, harness, timing, std::move(stream));
 
   std::array<ft::ReplicaAssets, 2> assets{
-      ft::ReplicaAssets{ft::ReplicaIndex::kReplica1, {replicas[0]}, {}},
-      ft::ReplicaAssets{ft::ReplicaIndex::kReplica2, {replicas[1]}, {}}};
+      ft::ReplicaAssets{ft::ReplicaIndex::kReplica1, replicas[0], {}},
+      ft::ReplicaAssets{ft::ReplicaIndex::kReplica2, replicas[1], {}}};
   ft::Supervisor::Config supervisor_config;
   supervisor_config.restart_budget = 3;
   supervisor_config.initial_backoff = rtc::from_ms(20.0);
@@ -178,7 +124,7 @@ RunOutcome run_once(const Scenario& scenario, std::uint64_t seed) {
   ft::FaultCampaign::Wiring wiring;
   wiring.replicator = &harness.replicator();
   wiring.selector = &harness.selector();
-  wiring.processes = {{replicas[0]}, {replicas[1]}};
+  wiring.processes = replicas;
   if (with_noc) wiring.noc = &platform->noc();
   // The supervisor timestamps injections from its own bus subscription.
   ft::FaultCampaign campaign(simulator, wiring);

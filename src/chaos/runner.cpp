@@ -7,8 +7,8 @@
 #include "adapt/reconfig.hpp"
 #include "ft/framework.hpp"
 #include "ft/scrub.hpp"
+#include "ft/stream.hpp"
 #include "kpn/network.hpp"
-#include "kpn/timing.hpp"
 #include "scc/platform.hpp"
 #include "scc/watchdog.hpp"
 #include "trace/sinks.hpp"
@@ -46,13 +46,6 @@ struct InjectionTimestamper final : trace::Sink {
     if (event.subject != campaign) return;
     supervisor->note_fault_injected(static_cast<ft::ReplicaIndex>(event.b), event.time);
   }
-};
-
-/// A replica task loop's handle onto its per-tile watchdog channel; null
-/// until the control-plane rig wires one up.
-struct WatchdogHook {
-  scc::WatchdogTimer* watchdog = nullptr;
-  int channel = -1;
 };
 
 }  // namespace
@@ -94,157 +87,48 @@ std::string RunObservation::render_flight_csv() const {
 
 namespace {
 
-/// The N-replica soak rig (RunOptions::nreplica >= 3): producer ->
-/// replicator -> N replicas -> selector (payload vote + CRC verify) ->
-/// consumer. Deliberately unsupervised: no restart path exists, so
-/// every verdict the observation carries was reached by the channels' own
-/// rules (a)/(b)/(c)/vote — the property the N-oracles then check against
-/// the injection log.
-RunObservation run_storm_n(const StormPlan& plan, const RunOptions& options) {
-  SCCFT_EXPECTS(plan.run_length > 0);
-  SCCFT_EXPECTS(options.planted == PlantedBug::kNone);
-  SCCFT_EXPECTS(!options.control_plane.enabled);
-  SCCFT_EXPECTS(!options.reconfig.enabled);
+/// Rejects a (plan, options) pair the rig cannot run, naming the offending
+/// value. N >= 3 is the unsupervised vote rig: it has no supervisor for the
+/// control plane, live resize or planted bugs to act on, and no NoC links.
+void check_rig(const StormPlan& plan, const RunOptions& options) {
   const int n = options.nreplica;
-  for (const ft::FaultSpec& spec : plan.faults) {
-    SCCFT_EXPECTS(spec.kind != ft::FaultKind::kNocLink &&
-                  !ft::is_control_plane(spec.kind));
-    SCCFT_EXPECTS(ft::victim_index(spec) < n);
-  }
-
-  sim::Simulator simulator;
-  kpn::Network net(simulator);
-
-  ft::AppTimingSpec timing;
-  timing.producer = rtc::PJD::from_ms(10, 1, 10);
-  timing.consumer = rtc::PJD::from_ms(10, 1, 10);
-  for (int i = 0; i < n; ++i) {
-    // Heterogeneous replica timing, like the 2-replica rig's 2 ms / 6 ms
-    // jitter split: replica i jitters by 2(i+1) ms.
-    const rtc::PJD model = rtc::PJD::from_ms(10, 2 * (i + 1), 10);
-    timing.replica_in.push_back(model);
-    timing.replica_out.push_back(model);
-  }
-  ft::FaultTolerantHarness harness(
-      net, {.timing = timing, .name_prefix = "nft", .enable_payload_vote = true});
-
-  RunObservation obs;
-  obs.nreplica = n;
-
-  trace::RingBufferSink ring(options.ring_capacity);
-  trace::CounterSink counters(simulator.trace().metrics());
-  simulator.trace().subscribe(&ring, trace::kFlightRecorderMask,
-                              trace::DeliveryMode::kDeferred);
-  simulator.trace().subscribe(&counters, trace::kFlightRecorderMask,
-                              trace::DeliveryMode::kDeferred);
-
-  const std::uint64_t seed = plan.seed;
-  net.add_process("producer", scc::CoreId{0}, seed * 10 + 1,
-                  [&](kpn::ProcessContext& ctx) -> sim::Task {
-                    kpn::TimingShaper shaper(timing.producer, 0, ctx.rng());
-                    for (std::uint64_t k = 0;; ++k) {
-                      const rtc::TimeNs t = shaper.next_emission(ctx.now());
-                      if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-                      std::vector<std::uint8_t> payload(4, static_cast<std::uint8_t>(k));
-                      co_await kpn::write(harness.replicator(),
-                                          kpn::Token(std::move(payload), k, ctx.now()));
-                      shaper.commit(ctx.now());
-                    }
-                  });
-
-  auto replica_body = [&](int which, rtc::PJD model) {
-    return [&harness, which = static_cast<ft::ReplicaIndex>(which),
-            model](kpn::ProcessContext& ctx) -> sim::Task {
-      kpn::TimingShaper emit(model, ctx.now(), ctx.rng());
-      rtc::TimeNs last_emit = -1;
-      while (true) {
-        SCCFT_FAULT_GATE(ctx);
-        kpn::Token token =
-            co_await kpn::read(harness.replicator().read_interface(which));
-        SCCFT_FAULT_GATE(ctx);
-        rtc::TimeNs target = emit.next_emission(ctx.now());
-        if (ctx.fault().rate_factor > 1.0 && last_emit >= 0) {
-          target = std::max(target,
-                            last_emit + static_cast<rtc::TimeNs>(
-                                            ctx.fault().rate_factor *
-                                            static_cast<double>(model.period)));
-        }
-        if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
-        SCCFT_FAULT_GATE(ctx);
-        co_await kpn::write(harness.selector().write_interface(which), token);
-        emit.commit(ctx.now());
-        last_emit = ctx.now();
-      }
-    };
+  const auto reject = [](const std::string& detail) {
+    util::contract_failure_msg("precondition", detail, __FILE__, __LINE__);
   };
-  std::vector<std::vector<kpn::Process*>> replica_groups;
-  for (int i = 0; i < n; ++i) {
-    replica_groups.push_back({&net.add_process(
-        "r" + std::to_string(i + 1), scc::CoreId{2 * (i + 1)},
-        seed * 10 + 2 + static_cast<std::uint64_t>(i),
-        replica_body(i, timing.replica_out[static_cast<std::size_t>(i)]))});
+  const auto rig = [n] { return "the unsupervised nreplica " + std::to_string(n) + " rig"; };
+  if (n < 2) reject("nreplica must be >= 2, got " + std::to_string(n));
+  if (n > 2) {
+    if (options.control_plane.enabled) reject(rig() + " has no control plane to arm");
+    if (options.reconfig.enabled) reject(rig() + " cannot open reconfiguration windows");
+    if (options.planted != PlantedBug::kNone) {
+      reject(rig() + " cannot plant bug " + to_string(options.planted));
+    }
   }
-
-  net.add_process(
-      "consumer", scc::CoreId{2 * (n + 1)},
-      seed * 10 + 2 + static_cast<std::uint64_t>(n),
-      [&](kpn::ProcessContext& ctx) -> sim::Task {
-        kpn::TimingShaper shaper(timing.consumer, 0, ctx.rng());
-        while (true) {
-          const rtc::TimeNs t = shaper.next_emission(ctx.now());
-          if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-          kpn::Token token = co_await kpn::read(harness.selector());
-          shaper.commit(ctx.now());
-          if (!token.verify_checksum()) ++obs.corrupt_delivered;
-          obs.consumed_seqs.push_back(token.seq());
-          obs.consumed_times.push_back(ctx.now());
-          obs.consumed_fingerprints.push_back(token.checksum());
-        }
-      });
-
-  ft::FaultCampaign::Wiring wiring;
-  wiring.replicator = &harness.replicator();
-  wiring.selector = &harness.selector();
-  wiring.processes = replica_groups;
-  ft::FaultCampaign campaign(simulator, wiring);
-  for (const ft::FaultSpec& spec : plan.faults) campaign.add(spec);
-  campaign.arm();
-
-  try {
-    net.run_until(plan.run_length);
-  } catch (const util::ContractViolation& violation) {
-    obs.contract_violation = violation.what();
+  for (std::size_t i = 0; i < plan.faults.size(); ++i) {
+    const ft::FaultSpec& spec = plan.faults[i];
+    const auto fault = [&] {
+      return "fault " + std::to_string(i) + " (" + ft::to_string(spec.kind) + ")";
+    };
+    if (spec.kind == ft::FaultKind::kNocLink || ft::is_control_plane(spec.kind)) {
+      if (n > 2) reject(fault() + " is not a data-path fault, which " + rig() + " needs");
+    } else if (ft::victim_index(spec) >= n) {
+      reject(fault() + " targets replica index " + std::to_string(ft::victim_index(spec)) +
+             " of an nreplica " + std::to_string(n) + " rig");
+    }
   }
-
-  simulator.trace().flush();
-  obs.injections = campaign.injections();
-  obs.n_detections = harness.detections().records;
-  obs.vote_conflicts = harness.selector().vote_conflicts();
-  obs.votes_outvoted = harness.selector().votes_outvoted();
-  obs.events_processed = simulator.events_processed();
-  obs.flight_total_events = ring.total_events();
-  obs.flight_events = ring.events();
-  obs.flight_dropped = ring.dropped();
-  obs.flight_subjects.reserve(simulator.trace().subject_count());
-  for (std::size_t id = 0; id < simulator.trace().subject_count(); ++id) {
-    obs.flight_subjects.push_back(
-        simulator.trace().subject_name(static_cast<trace::SubjectId>(id)));
-  }
-  obs.metrics = simulator.trace().metrics();
-  obs.control_plane = options.control_plane;
-  obs.reconfig = options.reconfig;
-
-  simulator.trace().unsubscribe(&ring);
-  simulator.trace().unsubscribe(&counters);
-  return obs;
 }
 
 }  // namespace
 
 RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   SCCFT_EXPECTS(plan.run_length > 0);
-  SCCFT_EXPECTS(options.nreplica >= 2);
-  if (options.nreplica > 2) return run_storm_n(plan, options);
+  check_rig(plan, options);
+  const int n = options.nreplica;
+  // The pair is the paper's supervised network; N >= 3 is the unsupervised
+  // payload-vote rig, where every verdict the observation carries was reached
+  // by the channels' own rules (a)/(b)/(c)/vote — the property the N-oracles
+  // check against the injection log.
+  const bool supervised = n == 2;
   sim::Simulator simulator;
   kpn::Network net(simulator);
   const bool with_noc =
@@ -257,10 +141,17 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   ft::AppTimingSpec timing;
   timing.producer = rtc::PJD::from_ms(10, 1, 10);
   timing.consumer = rtc::PJD::from_ms(10, 1, 10);
-  timing.replica_in = timing.replica_out = {rtc::PJD::from_ms(10, 2, 10),
-                                            rtc::PJD::from_ms(10, 6, 10)};
+  for (int i = 0; i < n; ++i) {
+    // Heterogeneous replica timing: the pair jitters by 2 ms and 6 ms,
+    // replica i of a wider rig by 2(i+1) ms.
+    const int jitter_ms = supervised ? 2 + 4 * i : 2 * (i + 1);
+    timing.replica_in.push_back(rtc::PJD::from_ms(10, jitter_ms, 10));
+  }
+  timing.replica_out = timing.replica_in;
 
-  ft::FaultTolerantHarness::Config config{.timing = timing};
+  ft::FaultTolerantHarness::Config config{.timing = timing,
+                                          .name_prefix = supervised ? "ft" : "nft",
+                                          .enable_payload_vote = !supervised};
   if (with_noc) {
     config.platform = &*platform;
     config.producer_core = scc::CoreId{0};
@@ -270,6 +161,7 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   ft::FaultTolerantHarness harness(net, config);
 
   RunObservation obs;
+  obs.nreplica = n;
 
   // The redundant observers: the ring keeps the recent event history for the
   // failure artifact, the counter sink keeps lifetime per-kind totals in the
@@ -293,102 +185,55 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   simulator.trace().subscribe(&heartbeat_monitor,
                               trace::bit(trace::EventKind::kHeartbeat));
 
-  const std::uint64_t seed = plan.seed;
-  net.add_process("producer", scc::CoreId{0}, seed * 10 + 1,
-                  [&](kpn::ProcessContext& ctx) -> sim::Task {
-                    kpn::TimingShaper shaper(timing.producer, 0, ctx.rng());
-                    for (std::uint64_t k = 0;; ++k) {
-                      const rtc::TimeNs t = shaper.next_emission(ctx.now());
-                      if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-                      std::vector<std::uint8_t> payload(4, static_cast<std::uint8_t>(k));
-                      co_await kpn::write(harness.replicator(),
-                                          kpn::Token(std::move(payload), k, ctx.now()));
-                      shaper.commit(ctx.now());
-                    }
-                  });
-
-  // Per-replica watchdog hooks: filled in only when the control-plane rig
-  // arms the watchdog (below), read from inside the task loops. Lives in
-  // this frame, which outlives the simulation.
-  std::array<WatchdogHook, 2> watchdog_hooks{};
-
-  auto replica_body = [&](ft::ReplicaIndex which, rtc::PJD model) {
-    WatchdogHook* hook =
-        &watchdog_hooks[static_cast<std::size_t>(ft::index_of(which))];
-    return [&harness, which, model, hook](kpn::ProcessContext& ctx) -> sim::Task {
-      kpn::TimingShaper emit(model, ctx.now(), ctx.rng());
-      rtc::TimeNs last_emit = -1;
-      while (true) {
-        SCCFT_FAULT_GATE(ctx);
-        kpn::Token token =
-            co_await kpn::read(harness.replicator().read_interface(which));
-        SCCFT_FAULT_GATE(ctx);
-        rtc::TimeNs target = emit.next_emission(ctx.now());
-        if (ctx.fault().rate_factor > 1.0 && last_emit >= 0) {
-          target = std::max(target,
-                            last_emit + static_cast<rtc::TimeNs>(
-                                            ctx.fault().rate_factor *
-                                            static_cast<double>(model.period)));
-        }
-        if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
-        SCCFT_FAULT_GATE(ctx);
-        co_await kpn::write(harness.selector().write_interface(which), token);
-        emit.commit(ctx.now());
-        last_emit = ctx.now();
-        // One heartbeat per completed iteration: a frozen or wedged loop
-        // stops kicking and the per-tile deadline does the convicting.
-        if (hook->watchdog != nullptr) hook->watchdog->kick(hook->channel);
-      }
-    };
-  };
-  std::vector<kpn::Process*> replicas;
-  replicas.push_back(&net.add_process(
-      "r1", scc::CoreId{2}, seed * 10 + 2,
-      replica_body(ft::ReplicaIndex::kReplica1, timing.replica_out[0])));
-  replicas.push_back(&net.add_process(
-      "r2", scc::CoreId{4}, seed * 10 + 3,
-      replica_body(ft::ReplicaIndex::kReplica2, timing.replica_out[1])));
+  const ControlPlaneOptions& cp = options.control_plane;
+  // The per-tile watchdog and its replica channels, armed below when the
+  // control-plane rig asks for it; declared here for the replica kicks.
+  std::optional<scc::WatchdogTimer> watchdog;
+  std::vector<int> watchdog_channels;
 
   bool planted_fired = false;
-  net.add_process(
-      "consumer", scc::CoreId{6}, seed * 10 + 4,
-      [&](kpn::ProcessContext& ctx) -> sim::Task {
-        kpn::TimingShaper shaper(timing.consumer, 0, ctx.rng());
-        while (true) {
-          const rtc::TimeNs t = shaper.next_emission(ctx.now());
-          if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-          kpn::Token token = co_await kpn::read(harness.selector());
-          shaper.commit(ctx.now());
-          if (!token.verify_checksum()) ++obs.corrupt_delivered;
-          std::uint32_t fingerprint = token.checksum();
-          // Test-only defect hooks (see PlantedBug).
-          if (options.planted == PlantedBug::kDropAfterSecondRestart &&
-              !planted_fired && restart_counter.restarts >= 2) {
-            planted_fired = true;
-            continue;  // the token vanishes: a manufactured sequence gap
-          }
-          if (options.planted == PlantedBug::kCorruptAfterRestart &&
-              !planted_fired && restart_counter.restarts >= 1) {
-            planted_fired = true;
-            fingerprint ^= 1;  // a manufactured golden-run divergence
-          }
-          obs.consumed_seqs.push_back(token.seq());
-          obs.consumed_times.push_back(ctx.now());
-          obs.consumed_fingerprints.push_back(fingerprint);
-        }
-      });
+  ft::SyntheticStream stream{.seed = plan.seed};
+  stream.on_token = [&](const kpn::Token& token, rtc::TimeNs now) {
+    if (!token.verify_checksum()) ++obs.corrupt_delivered;
+    std::uint32_t fingerprint = token.checksum();
+    // Test-only defect hooks (see PlantedBug).
+    if (options.planted == PlantedBug::kDropAfterSecondRestart && !planted_fired &&
+        restart_counter.restarts >= 2) {
+      planted_fired = true;
+      return;  // the token vanishes: a manufactured sequence gap
+    }
+    if (options.planted == PlantedBug::kCorruptAfterRestart && !planted_fired &&
+        restart_counter.restarts >= 1) {
+      planted_fired = true;
+      fingerprint ^= 1;  // a manufactured golden-run divergence
+    }
+    obs.consumed_seqs.push_back(token.seq());
+    obs.consumed_times.push_back(now);
+    obs.consumed_fingerprints.push_back(fingerprint);
+  };
+  if (cp.enabled && cp.watchdog) {
+    // One heartbeat per completed iteration: a frozen or wedged loop stops
+    // kicking and the per-tile deadline does the convicting.
+    stream.kick = [&](ft::ReplicaIndex r) {
+      watchdog->kick(watchdog_channels[static_cast<std::size_t>(ft::index_of(r))]);
+    };
+  }
+  const std::vector<std::vector<kpn::Process*>> replicas =
+      ft::add_synthetic_stream(net, harness, timing, std::move(stream));
 
-  std::array<ft::ReplicaAssets, 2> assets{
-      ft::ReplicaAssets{ft::ReplicaIndex::kReplica1, {replicas[0]}, {}},
-      ft::ReplicaAssets{ft::ReplicaIndex::kReplica2, {replicas[1]}, {}}};
-  const ControlPlaneOptions& cp = options.control_plane;
-  ft::Supervisor::Config supervisor_config;
-  supervisor_config.restart_budget = 3;
-  supervisor_config.initial_backoff = rtc::from_ms(20.0);
-  if (cp.enabled) supervisor_config.heartbeat_period = cp.heartbeat_period;
-  ft::Supervisor supervisor(simulator, harness.replicator(), harness.selector(),
-                            assets, supervisor_config);
-  obs.restart_budget = supervisor_config.restart_budget;
+  std::optional<ft::Supervisor> supervisor;
+  if (supervised) {
+    ft::Supervisor::Config supervisor_config;
+    supervisor_config.restart_budget = 3;
+    supervisor_config.initial_backoff = rtc::from_ms(20.0);
+    if (cp.enabled) supervisor_config.heartbeat_period = cp.heartbeat_period;
+    supervisor.emplace(simulator, harness.replicator(), harness.selector(),
+                       std::array<ft::ReplicaAssets, 2>{
+                           ft::ReplicaAssets{ft::ReplicaIndex::kReplica1, replicas[0], {}},
+                           ft::ReplicaAssets{ft::ReplicaIndex::kReplica2, replicas[1], {}}},
+                       supervisor_config);
+    obs.restart_budget = supervisor_config.restart_budget;
+  }
 
   // --- benign live-resize windows (adapt/) ---------------------------------
   const ReconfigOptions& rc = options.reconfig;
@@ -416,25 +261,20 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   }
 
   // --- last-line defense: per-tile watchdog + control-state scrubber -------
-  std::optional<scc::WatchdogTimer> watchdog;
   std::optional<ft::Scrubber> scrubber;
   if (cp.enabled && cp.watchdog) {
     watchdog.emplace(simulator,
                      scc::WatchdogTimer::Config{.deadline = cp.watchdog_deadline});
     const int supervisor_channel = watchdog->add_channel(
         "supervisor", scc::CoreId{6}.tile(),
-        [&supervisor] { supervisor.on_self_watchdog_reset(); });
-    supervisor.attach_watchdog(&*watchdog, supervisor_channel);
-    watchdog_hooks[0] = WatchdogHook{
-        &*watchdog,
-        watchdog->add_channel("core.r1", scc::CoreId{2}.tile(), [&supervisor] {
-          supervisor.on_core_watchdog_reset(ft::ReplicaIndex::kReplica1);
-        })};
-    watchdog_hooks[1] = WatchdogHook{
-        &*watchdog,
-        watchdog->add_channel("core.r2", scc::CoreId{4}.tile(), [&supervisor] {
-          supervisor.on_core_watchdog_reset(ft::ReplicaIndex::kReplica2);
-        })};
+        [&supervisor] { supervisor->on_self_watchdog_reset(); });
+    supervisor->attach_watchdog(&*watchdog, supervisor_channel);
+    for (int i = 0; i < n; ++i) {
+      const auto which = static_cast<ft::ReplicaIndex>(i);
+      watchdog_channels.push_back(watchdog->add_channel(
+          "core.r" + std::to_string(i + 1), scc::CoreId{2 * (i + 1)}.tile(),
+          [&supervisor, which] { supervisor->on_core_watchdog_reset(which); }));
+    }
     watchdog->arm_all();
   }
   if (cp.enabled && cp.scrubber) {
@@ -463,21 +303,23 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   ft::FaultCampaign::Wiring wiring;
   wiring.replicator = &harness.replicator();
   wiring.selector = &harness.selector();
-  wiring.processes = {{replicas[0]}, {replicas[1]}};
+  wiring.processes = replicas;
   if (with_noc) wiring.noc = &platform->noc();
   // Control-plane targets are wired unconditionally: a storm may attack the
   // protection machinery whether or not the defenses are armed — that
   // asymmetry is exactly what the ablation demos measure.
-  wiring.supervisor = &supervisor;
+  if (supervisor) wiring.supervisor = &*supervisor;
   wiring.scrubbables = {&harness.replicator(), &harness.selector()};
   // Appended last (like the scrub walk) so pinned global word indices hold.
   if (reconfigurator) wiring.scrubbables.push_back(&*reconfigurator);
   wiring.flight_ring = &ring;
   ft::FaultCampaign campaign(simulator, wiring);
   InjectionTimestamper timestamper;
-  timestamper.supervisor = &supervisor;
-  timestamper.campaign = campaign.trace_subject();
-  simulator.trace().subscribe(&timestamper, trace::bit(trace::EventKind::kInjection));
+  if (supervisor) {
+    timestamper.supervisor = &*supervisor;
+    timestamper.campaign = campaign.trace_subject();
+    simulator.trace().subscribe(&timestamper, trace::bit(trace::EventKind::kInjection));
+  }
   for (const ft::FaultSpec& spec : plan.faults) campaign.add(spec);
   campaign.arm();
 
@@ -492,9 +334,16 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   // Harvest. Deliver staged deferred events first so the ring and counter
   // totals reflect the complete run.
   simulator.trace().flush();
-  obs.transitions = supervisor.transitions();
-  obs.final_health[0] = supervisor.health(ft::ReplicaIndex::kReplica1);
-  obs.final_health[1] = supervisor.health(ft::ReplicaIndex::kReplica2);
+  if (supervisor) {
+    obs.transitions = supervisor->transitions();
+    obs.final_health[0] = supervisor->health(ft::ReplicaIndex::kReplica1);
+    obs.final_health[1] = supervisor->health(ft::ReplicaIndex::kReplica2);
+  } else {
+    // Without a supervisor the channels' verdicts are the conviction log.
+    obs.n_detections = harness.detections().records;
+  }
+  obs.vote_conflicts = harness.selector().vote_conflicts();
+  obs.votes_outvoted = harness.selector().votes_outvoted();
   obs.injections = campaign.injections();
   obs.events_processed = simulator.events_processed();
   obs.flight_total_events = ring.total_events();
@@ -527,7 +376,7 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   simulator.trace().unsubscribe(&counters);
   simulator.trace().unsubscribe(&restart_counter);
   simulator.trace().unsubscribe(&heartbeat_monitor);
-  simulator.trace().unsubscribe(&timestamper);
+  if (supervisor) simulator.trace().unsubscribe(&timestamper);
   return obs;
 }
 

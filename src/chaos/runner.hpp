@@ -1,10 +1,11 @@
 // Executes one chaos storm against a fresh duplicated network and records
 // everything the invariant oracles (chaos/oracle.hpp) need for their verdict.
 //
-// The rig mirrors the fault-campaign harness (bench/fault_campaign.cpp): a
-// producer, two supervised replicas, a consumer, and a FaultCampaign armed
-// with the storm's fault plan; NoC storms additionally route the duplicated
-// channels over the SCC mesh model. Every run owns an isolated Simulator and
+// The rig is the fault-campaign stream (ft/stream.hpp, shared with
+// bench/fault_campaign.cpp): a producer, RunOptions::nreplica replicas, a
+// consumer, and a FaultCampaign armed with the storm's fault plan. The pair
+// is supervised, and NoC storms additionally route its channels over the SCC
+// mesh model. Every run owns an isolated Simulator and
 // derives all randomness from the storm seed, so run_storm is a pure
 // function of (plan, options) — the property the soak driver's --jobs
 // determinism and the shrinker's re-execution both stand on.
@@ -95,14 +96,15 @@ struct RunOptions {
   std::size_t ring_capacity = 4096;
   ControlPlaneOptions control_plane;
   ReconfigOptions reconfig;
-  /// Replica count of the rig. 2 = the classic supervised duplicated network
-  /// (byte-identical to the historical path). >= 3 switches to the N-replica
-  /// rig: producer -> replicator -> N replicas -> selector (payload vote +
-  /// CRC verify armed) -> consumer, with NO supervisor —
-  /// detection and masking are the channels' job alone, which is exactly what
-  /// the N-soak is meant to stress. Storm plans must then carry data-path
-  /// faults only (no NoC / control-plane), and the control-plane / reconfig /
-  /// planted-bug options must stay off.
+  /// Replica count of the rig, built on one path for every N. 2 = the
+  /// supervised duplicated network (harness prefix "ft", replica jitter 2 and
+  /// 6 ms). >= 3 = the same stream with the selector in payload-vote mode
+  /// (prefix "nft", replica i jittering by 2(i+1) ms) and NO supervisor:
+  /// detection and masking are the channels' job alone, which is exactly
+  /// what the N-soak is meant to stress. Storm plans must then carry
+  /// data-path faults only (no NoC / control-plane), and the control-plane /
+  /// reconfig / planted-bug options must stay off; run_storm throws
+  /// util::ContractViolation naming N and the offending option or fault.
   int nreplica = 2;
 };
 
@@ -157,7 +159,8 @@ struct RunObservation {
 
   // --- N-replica rig (RunOptions::nreplica >= 3) ---------------------------
   int nreplica = 2;                       ///< options echoed
-  /// Channel convictions (replicator + selector), in conviction order.
+  /// Channel convictions (replicator + selector), in conviction order. Filled
+  /// only at N >= 3, where no supervisor keeps a transition log.
   std::vector<ft::DetectionRecord> n_detections;
   std::uint64_t vote_conflicts = 0;       ///< majority-less resolved groups
   std::uint64_t votes_outvoted = 0;       ///< dissenting arrivals out-voted

@@ -7,6 +7,7 @@
 
 #include "ft/fault_plan.hpp"
 #include "ft/framework.hpp"
+#include "ft/stream.hpp"
 #include "ft/supervisor.hpp"
 #include "kpn/network.hpp"
 #include "kpn/timing.hpp"
@@ -31,19 +32,6 @@ AppTimingSpec timing_of(const FleetStreamSpec& s) {
                        .consumer = s.consumer,
                        .replica_in = std::vector<rtc::PJD>(n, s.stage),
                        .replica_out = std::vector<rtc::PJD>(n, s.stage)};
-}
-
-/// Eq. (3) capacity of a non-critical pipeline's FIFO: the producer's upper
-/// curve against the consuming stage's lower curve.
-rtc::Tokens pipeline_fifo_capacity(const FleetStreamSpec& s) {
-  const rtc::PJDUpperCurve producer_upper(s.producer);
-  const rtc::PJDLowerCurve stage_lower(s.stage);
-  const rtc::TimeNs horizon =
-      100 * std::max(s.producer.period, s.stage.period) +
-      std::max(s.producer.jitter, s.stage.jitter);
-  const auto capacity =
-      rtc::min_fifo_capacity(producer_upper, stage_lower, horizon);
-  return std::max<rtc::Tokens>(capacity.value_or(1), 1);
 }
 
 /// Traffic weight of one stream's edges: payload bytes per second.
@@ -158,7 +146,8 @@ scc::PlacementRequest build_placement_request(
     }
     const int base = static_cast<int>(request.processes.size());
     const std::size_t fifo_bytes =
-        static_cast<std::size_t>(pipeline_fifo_capacity(s)) * s.token_bytes;
+        static_cast<std::size_t>(rtc::pipeline_fifo_capacity(s.producer, s.stage)) *
+        s.token_bytes;
     request.processes.push_back({stream_tag(s.index) + ".producer", s.index, -1, 0});
     request.processes.push_back({stream_tag(s.index) + ".worker", s.index, -1, fifo_bytes});
     request.processes.push_back(
@@ -204,9 +193,13 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
     const FleetStreamSpec& s = streams[i];
     const std::string tag = stream_tag(s.index);
     Runtime* rt = &runtime[i];
+    const TokenAction consume = [rt](const kpn::Token& token, rtc::TimeNs) {
+      if (token.seq() > rt->expected_seq) rt->gap = true;
+      rt->expected_seq = token.seq() + 1;
+      ++rt->consumed;
+    };
     const trace::SubjectId producer_subject =
         simulator.trace().intern(tag + ".producer");
-    trace::TraceBus* bus = &simulator.trace();
 
     if (options.online_monitors) {
       rtc::online::StreamSpec ms;
@@ -224,75 +217,26 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
       // links — mesh accounting for these streams is placement-only. The
       // supervised pair (N = 2) is the paper's network.
       const bool vote = s.protection >= 3;
-      const auto n = static_cast<std::size_t>(s.protection);
+      // Producer, replicas, consumer: the placement request's process order.
+      const auto first = placement.process_to_core.begin() +
+                         static_cast<std::ptrdiff_t>(process_cursor);
+      const std::vector<scc::CoreId> cores(first, first + 2 + s.protection);
       FaultTolerantHarness::Config config;
       config.timing = timing_of(s);
       config.name_prefix = tag;
       config.platform = vote ? nullptr : &platform;
-      config.producer_core = placement.process_to_core[process_cursor];
-      for (std::size_t r = 0; r < n; ++r) {
-        config.replica_in_cores.push_back(placement.process_to_core[process_cursor + 1 + r]);
-      }
-      config.replica_out_cores = config.replica_in_cores;
-      config.consumer_core = placement.process_to_core[process_cursor + 1 + n];
+      config.producer_core = cores.front();
+      config.replica_in_cores = config.replica_out_cores = {cores.begin() + 1,
+                                                            cores.end() - 1};
+      config.consumer_core = cores.back();
       config.enable_payload_vote = vote;
       harnesses[i] = std::make_unique<FaultTolerantHarness>(net, config);
       FaultTolerantHarness* harness = harnesses[i].get();
 
-      net.add_process(
-          tag + ".producer", config.producer_core, s.seed * 10 + 1,
-          [harness, s, bus, producer_subject](kpn::ProcessContext& ctx)
-              -> sim::Task {
-            kpn::TimingShaper shaper(s.producer, 0, ctx.rng());
-            shaper.bind_trace(bus, producer_subject);
-            for (std::uint64_t k = 0;; ++k) {
-              const rtc::TimeNs t = shaper.next_emission(ctx.now());
-              if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-              std::vector<std::uint8_t> payload(
-                  s.token_bytes, static_cast<std::uint8_t>(k));
-              co_await kpn::write(harness->replicator(),
-                                  kpn::Token(std::move(payload), k, ctx.now()));
-              shaper.commit(ctx.now());
-            }
-          });
-
-      std::vector<std::vector<kpn::Process*>> replica_processes;
-      for (std::size_t r = 0; r < n; ++r) {
-        replica_processes.push_back({&net.add_process(
-            tag + ".r" + std::to_string(r + 1), config.replica_in_cores[r],
-            s.seed * 10 + 2 + r,
-            [harness, s, which = static_cast<ReplicaIndex>(r)](
-                kpn::ProcessContext& ctx) -> sim::Task {
-              kpn::TimingShaper emit(s.stage, ctx.now(), ctx.rng());
-              while (true) {
-                SCCFT_FAULT_GATE(ctx);
-                kpn::Token token =
-                    co_await kpn::read(harness->replicator().read_interface(which));
-                SCCFT_FAULT_GATE(ctx);
-                const rtc::TimeNs target = emit.next_emission(ctx.now());
-                if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
-                SCCFT_FAULT_GATE(ctx);
-                co_await kpn::write(harness->selector().write_interface(which),
-                                    token);
-                emit.commit(ctx.now());
-              }
-            })});
-      }
-
-      net.add_process(tag + ".consumer", config.consumer_core, s.seed * 10 + 2 + n,
-                      [harness, s, rt](kpn::ProcessContext& ctx) -> sim::Task {
-                        kpn::TimingShaper shaper(s.consumer, 0, ctx.rng());
-                        while (true) {
-                          const rtc::TimeNs t = shaper.next_emission(ctx.now());
-                          if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-                          kpn::Token token =
-                              co_await kpn::read(harness->selector());
-                          shaper.commit(ctx.now());
-                          if (token.seq() > rt->expected_seq) rt->gap = true;
-                          rt->expected_seq = token.seq() + 1;
-                          ++rt->consumed;
-                        }
-                      });
+      std::vector<std::vector<kpn::Process*>> replica_processes = add_synthetic_stream(
+          net, *harness, config.timing,
+          {.prefix = tag + ".", .seed = s.seed, .token_bytes = s.token_bytes,
+           .cores = cores, .producer_subject = producer_subject, .on_token = consume});
 
       // The Supervisor is pair-only: the vote rig keeps a convicted replica
       // out and runs on the surviving majority.
@@ -303,9 +247,7 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
         Supervisor::Config supervisor_config;
         supervisor_config.restart_budget = spec.restart_budget;
         supervisor_config.initial_backoff = 20'000'000;
-        supervisor_config.detection_latency_bound =
-            std::min(harness->sizing().replicator_overflow_bound,
-                     harness->sizing().selector_latency_bound);
+        supervisor_config.detection_latency_bound = harness->sizing().detection_bound();
         supervisor_config.name = tag + ".sup";
         supervisor_config.injection_subject = tag + ".faults";
         if (pool.capacity > 0) supervisor_config.shared_budget = &pool;
@@ -331,7 +273,7 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
         campaigns[i]->arm();
       }
     } else {
-      const rtc::Tokens capacity = pipeline_fifo_capacity(s);
+      const rtc::Tokens capacity = rtc::pipeline_fifo_capacity(s.producer, s.stage);
       fifo_caps[i] = capacity;
       const scc::CoreId producer_core = placement.process_to_core[process_cursor];
       const scc::CoreId worker_core =
@@ -349,21 +291,12 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
       kpn::FifoChannel* in = fifo_in[i];
       kpn::FifoChannel* out = fifo_out[i];
 
-      net.add_process(
-          tag + ".producer", producer_core, s.seed * 10 + 1,
-          [in, s, bus, producer_subject](kpn::ProcessContext& ctx) -> sim::Task {
-            kpn::TimingShaper shaper(s.producer, 0, ctx.rng());
-            shaper.bind_trace(bus, producer_subject);
-            for (std::uint64_t k = 0;; ++k) {
-              const rtc::TimeNs t = shaper.next_emission(ctx.now());
-              if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-              std::vector<std::uint8_t> payload(
-                  s.token_bytes, static_cast<std::uint8_t>(k));
-              co_await kpn::write(*in,
-                                  kpn::Token(std::move(payload), k, ctx.now()));
-              shaper.commit(ctx.now());
-            }
-          });
+      net.add_process(tag + ".producer", producer_core, s.seed * 10 + 1,
+                      [in, s, bus = &simulator.trace(),
+                       producer_subject](kpn::ProcessContext& ctx) {
+                        return synthetic_producer(ctx, s.producer, s.token_bytes, *in,
+                                                  bus, producer_subject);
+                      });
       net.add_process(tag + ".worker", worker_core, s.seed * 10 + 2,
                       [in, out, s](kpn::ProcessContext& ctx) -> sim::Task {
                         kpn::TimingShaper emit(s.stage, ctx.now(), ctx.rng());
@@ -378,17 +311,8 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
                         }
                       });
       net.add_process(tag + ".consumer", consumer_core, s.seed * 10 + 3,
-                      [out, s, rt](kpn::ProcessContext& ctx) -> sim::Task {
-                        kpn::TimingShaper shaper(s.consumer, 0, ctx.rng());
-                        while (true) {
-                          const rtc::TimeNs t = shaper.next_emission(ctx.now());
-                          if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-                          kpn::Token token = co_await kpn::read(*out);
-                          shaper.commit(ctx.now());
-                          if (token.seq() > rt->expected_seq) rt->gap = true;
-                          rt->expected_seq = token.seq() + 1;
-                          ++rt->consumed;
-                        }
+                      [out, s, consume](kpn::ProcessContext& ctx) {
+                        return synthetic_consumer(ctx, s.consumer, *out, consume);
                       });
     }
     process_cursor += s.critical ? 2 + static_cast<std::size_t>(s.protection) : 3;
@@ -444,8 +368,7 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
     if (s.critical) {
       FaultTolerantHarness* harness = harnesses[i].get();
       const rtc::SizingReport& sizing = harness->sizing();
-      outcome.detection_bound = std::min(sizing.replicator_overflow_bound,
-                                         sizing.selector_latency_bound);
+      outcome.detection_bound = sizing.detection_bound();
       if (const Supervisor* supervisor = supervisors[i].get()) {
         const auto target = supervisor->report(ReplicaIndex::kReplica1);
         const auto peer = supervisor->report(ReplicaIndex::kReplica2);

@@ -103,6 +103,15 @@ std::optional<Tokens> min_fifo_capacity(const Curve& producer_upper,
   return std::max<Tokens>(sup.value, 1);
 }
 
+Tokens pipeline_fifo_capacity(const PJD& producer, const PJD& stage) {
+  const PJDUpperCurve producer_upper(producer);
+  const PJDLowerCurve stage_lower(stage);
+  const TimeNs horizon = 100 * std::max(producer.period, stage.period) +
+                         std::max(producer.jitter, stage.jitter);
+  return std::max<Tokens>(
+      min_fifo_capacity(producer_upper, stage_lower, horizon).value_or(1), 1);
+}
+
 std::optional<Tokens> min_initial_fill(const Curve& replica_out_lower,
                                        const Curve& consumer_upper, TimeNs horizon) {
   const SupResult sup = sup_difference(consumer_upper, replica_out_lower, horizon);

@@ -11,6 +11,7 @@
 // before each), which is where extrema of integer staircases occur.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "rtc/time.hpp"
 
 namespace sccft::rtc {
+
+struct PJD;
 
 /// Result of a supremum computation over a bounded horizon.
 struct SupResult {
@@ -48,6 +51,11 @@ struct SupResult {
 [[nodiscard]] std::optional<Tokens> min_fifo_capacity(const Curve& producer_upper,
                                                       const Curve& consumer_lower,
                                                       TimeNs horizon);
+
+/// Eq. (3) capacity of a plain, unreplicated pipeline FIFO: the producer's
+/// upper curve against the consuming stage's lower curve over a
+/// 100 x max(P) + max(J) horizon, and at least one token.
+[[nodiscard]] Tokens pipeline_fifo_capacity(const PJD& producer, const PJD& stage);
 
 /// Eq. (4): smallest initial fill F_C0 such that
 /// alpha_out^l(Delta) >= alpha_C^u(Delta) - F_C0 for all Delta.
@@ -101,6 +109,12 @@ struct SizingReport {
   /// consumption streams ("computations for the replicator are analogous").
   TimeNs replicator_divergence_bound = 0;
   TimeNs selector_latency_bound = 0;    ///< Eq. (7)/(8) at the selector
+
+  /// Worst-case latency until the first rule convicts a silent replica: the
+  /// earlier of the replicator's overflow bound and the selector's bound.
+  [[nodiscard]] TimeNs detection_bound() const {
+    return std::min(replicator_overflow_bound, selector_latency_bound);
+  }
 };
 
 /// Inputs to the sizing analysis: arrival-curve pairs for the producer and
@@ -130,7 +144,7 @@ struct NetworkTimingModel {
 /// the horizon (the detectability limit: a replica only infinitesimally
 /// slower than its contract takes arbitrarily long to convict).
 [[nodiscard]] std::optional<TimeNs> detection_latency_bound_rate_fault(
-    const Curve& healthy_lower, const struct PJD& faulty_model,
+    const Curve& healthy_lower, const PJD& faulty_model,
     double slowdown_factor, Tokens threshold_d, TimeNs horizon);
 
 }  // namespace sccft::rtc

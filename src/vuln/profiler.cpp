@@ -9,6 +9,7 @@
 #include "chaos/storm.hpp"
 #include "ft/fault_plan.hpp"
 #include "ft/framework.hpp"
+#include "ft/stream.hpp"
 #include "ft/supervisor.hpp"
 #include "kpn/network.hpp"
 #include "kpn/timing.hpp"
@@ -76,43 +77,6 @@ struct Scorer {
   }
 };
 
-sim::Task producer_body(kpn::ProcessContext& ctx, const ProcessSpec& spec,
-                        kpn::TokenSink& sink) {
-  kpn::TimingShaper shaper(spec.producer, 0, ctx.rng());
-  for (std::uint64_t k = 0;; ++k) {
-    const rtc::TimeNs t = shaper.next_emission(ctx.now());
-    if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-    std::vector<std::uint8_t> payload(spec.token_bytes,
-                                      static_cast<std::uint8_t>(k));
-    co_await kpn::write(sink, kpn::Token(std::move(payload), k, ctx.now()));
-    shaper.commit(ctx.now());
-  }
-}
-
-sim::Task consumer_body(kpn::ProcessContext& ctx, const ProcessSpec& spec,
-                        kpn::TokenSource& source, Scorer& scorer) {
-  kpn::TimingShaper shaper(spec.consumer, 0, ctx.rng());
-  while (true) {
-    const rtc::TimeNs t = shaper.next_emission(ctx.now());
-    if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-    kpn::Token token = co_await kpn::read(source);
-    shaper.commit(ctx.now());
-    scorer.score(token, ctx.now());
-  }
-}
-
-/// Eq. (3) capacity of the unprotected pipeline's FIFOs.
-rtc::Tokens pipeline_capacity(const ProcessSpec& spec) {
-  const rtc::PJDUpperCurve producer_upper(spec.producer);
-  const rtc::PJDLowerCurve stage_lower(spec.stage);
-  const rtc::TimeNs horizon =
-      100 * std::max(spec.producer.period, spec.stage.period) +
-      std::max(spec.producer.jitter, spec.stage.jitter);
-  const auto capacity =
-      rtc::min_fifo_capacity(producer_upper, stage_lower, horizon);
-  return std::max<rtc::Tokens>(capacity.value_or(1), 1);
-}
-
 /// Manual fault application for the unprotected (N = 1) rig, where no
 /// ft::FaultCampaign wiring exists. Depth counters make overlapping windows
 /// compose (the last window to close clears the effect).
@@ -177,7 +141,7 @@ TrialOutcome run_trial_unprotected(const ProcessSpec& spec,
                                    const chaos::StormPlan& plan) {
   sim::Simulator simulator;
   kpn::Network net(simulator);
-  const rtc::Tokens capacity = pipeline_capacity(spec);
+  const rtc::Tokens capacity = rtc::pipeline_fifo_capacity(spec.producer, spec.stage);
   auto& in = net.add_fifo(spec.name + ".in", capacity);
   auto& out = net.add_fifo(spec.name + ".out", capacity);
 
@@ -187,8 +151,8 @@ TrialOutcome run_trial_unprotected(const ProcessSpec& spec,
 
   const std::uint64_t seed = plan.seed;
   net.add_process(spec.name + ".producer", scc::CoreId{0}, seed * 10 + 1,
-                  [&spec, &in](kpn::ProcessContext& ctx) -> sim::Task {
-                    return producer_body(ctx, spec, in);
+                  [&spec, &in](kpn::ProcessContext& ctx) {
+                    return ft::synthetic_producer(ctx, spec.producer, spec.token_bytes, in);
                   });
   kpn::Process& stage = net.add_process(
       spec.name + ".stage", scc::CoreId{2}, seed * 10 + 2,
@@ -221,8 +185,12 @@ TrialOutcome run_trial_unprotected(const ProcessSpec& spec,
         }
       });
   net.add_process(spec.name + ".consumer", scc::CoreId{4}, seed * 10 + 3,
-                  [&spec, &out, &scorer](kpn::ProcessContext& ctx) -> sim::Task {
-                    return consumer_body(ctx, spec, out, scorer);
+                  [&spec, &out, &scorer](kpn::ProcessContext& ctx) {
+                    return ft::synthetic_consumer(
+                        ctx, spec.consumer, out,
+                        [&scorer](const kpn::Token& token, rtc::TimeNs now) {
+                          scorer.score(token, now);
+                        });
                   });
 
   arm_manual_faults(simulator, plan, stage, faults);
@@ -259,56 +227,19 @@ TrialOutcome run_trial_replicated(const ProcessSpec& spec, int protection,
   Scorer scorer;
   scorer.spec = &spec;
 
-  const std::uint64_t seed = plan.seed;
-  net.add_process(spec.name + ".producer", scc::CoreId{0}, seed * 10 + 1,
-                  [&spec, &harness](kpn::ProcessContext& ctx) -> sim::Task {
-                    return producer_body(ctx, spec, harness.replicator());
-                  });
-  std::vector<std::vector<kpn::Process*>> replica_groups;
-  for (int r = 0; r < protection; ++r) {
-    replica_groups.push_back({&net.add_process(
-        spec.name + ".r" + std::to_string(r + 1), scc::CoreId{2 * (r + 1)},
-        seed * 10 + 2 + static_cast<std::uint64_t>(r),
-        [&spec, &harness, r = static_cast<ft::ReplicaIndex>(r)](
-            kpn::ProcessContext& ctx) -> sim::Task {
-          kpn::TimingShaper emit(spec.stage, ctx.now(), ctx.rng());
-          rtc::TimeNs last_emit = -1;
-          while (true) {
-            SCCFT_FAULT_GATE(ctx);
-            kpn::Token token =
-                co_await kpn::read(harness.replicator().read_interface(r));
-            SCCFT_FAULT_GATE(ctx);
-            rtc::TimeNs target = emit.next_emission(ctx.now());
-            if (ctx.fault().rate_factor > 1.0 && last_emit >= 0) {
-              target = std::max(
-                  target,
-                  last_emit + static_cast<rtc::TimeNs>(
-                                  ctx.fault().rate_factor *
-                                  static_cast<double>(spec.stage.period)));
-            }
-            if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
-            SCCFT_FAULT_GATE(ctx);
-            co_await kpn::write(harness.selector().write_interface(r), token);
-            emit.commit(ctx.now());
-            last_emit = ctx.now();
-          }
-        })});
-  }
-  net.add_process(
-      spec.name + ".consumer", scc::CoreId{2 * (protection + 1)},
-      seed * 10 + 2 + static_cast<std::uint64_t>(protection),
-      [&spec, &harness, &scorer](kpn::ProcessContext& ctx) -> sim::Task {
-        return consumer_body(ctx, spec, harness.selector(), scorer);
-      });
+  std::vector<std::vector<kpn::Process*>> replica_groups = ft::add_synthetic_stream(
+      net, harness, config.timing,
+      {.prefix = spec.name + ".", .seed = plan.seed, .token_bytes = spec.token_bytes,
+       .on_token = [&scorer](const kpn::Token& token, rtc::TimeNs now) {
+         scorer.score(token, now);
+       }});
 
   std::optional<ft::Supervisor> supervisor;
   if (protection == 2) {
     ft::Supervisor::Config supervisor_config;
     supervisor_config.restart_budget = 3;
     supervisor_config.initial_backoff = 20'000'000;
-    supervisor_config.detection_latency_bound =
-        std::min(harness.sizing().replicator_overflow_bound,
-                 harness.sizing().selector_latency_bound);
+    supervisor_config.detection_latency_bound = harness.sizing().detection_bound();
     supervisor_config.name = spec.name + ".sup";
     supervisor_config.injection_subject = spec.name + ".faults";
     supervisor.emplace(

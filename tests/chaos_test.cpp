@@ -205,6 +205,77 @@ TEST(Oracle, ViolationCodeTextRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
+// Rig preconditions: every rejection names the replica count and the
+// offending option or fault index
+// ---------------------------------------------------------------------------
+
+/// Expects run_storm to reject (plan, options) with a message containing
+/// `detail`.
+void expect_rejected(const StormPlan& plan, const RunOptions& options,
+                     const std::string& detail) {
+  try {
+    (void)run_storm(plan, options);
+    ADD_FAILURE() << "run_storm accepted the rig";
+  } catch (const util::ContractViolation& violation) {
+    EXPECT_NE(std::string(violation.what()).find(detail), std::string::npos)
+        << violation.what();
+  }
+}
+
+StormPlan plan_with(const std::vector<ft::FaultSpec>& faults) {
+  StormPlan plan;
+  plan.seed = 1;
+  plan.run_length = rtc::from_sec(1.0);
+  plan.faults = faults;
+  return plan;
+}
+
+TEST(Runner, RejectsFewerThanTwoReplicas) {
+  expect_rejected(plan_with({}), {.nreplica = 1}, "nreplica must be >= 2, got 1");
+}
+
+TEST(Runner, RejectsControlPlaneAtThreeReplicas) {
+  RunOptions options{.nreplica = 3};
+  options.control_plane.enabled = true;
+  expect_rejected(plan_with({}), options, "nreplica 3 rig has no control plane");
+}
+
+TEST(Runner, RejectsReconfigureAtFourReplicas) {
+  RunOptions options{.nreplica = 4};
+  options.reconfig.enabled = true;
+  expect_rejected(plan_with({}), options,
+                  "nreplica 4 rig cannot open reconfiguration windows");
+}
+
+TEST(Runner, RejectsPlantedBugAtThreeReplicas) {
+  const RunOptions options{.planted = PlantedBug::kCorruptAfterRestart, .nreplica = 3};
+  expect_rejected(plan_with({}), options,
+                  "nreplica 3 rig cannot plant bug corrupt-after-restart");
+}
+
+TEST(Runner, RejectsVictimBeyondTheReplicaCount) {
+  ft::FaultSpec healthy{.kind = ft::FaultKind::kTransientSilence,
+                        .at = rtc::from_ms(100.0),
+                        .duration = rtc::from_ms(50.0)};
+  ft::FaultSpec stray = healthy;
+  stray.victim = 4;
+  expect_rejected(plan_with({healthy, stray}), {.nreplica = 3},
+                  "fault 1 (transient-silence) targets replica index 3 of an "
+                  "nreplica 3 rig");
+}
+
+TEST(Runner, RejectsNonDataPathKindsAtThreeReplicas) {
+  for (const ft::FaultKind kind :
+       {ft::FaultKind::kNocLink, ft::FaultKind::kSupervisorHang}) {
+    const ft::FaultSpec spec{.kind = kind, .at = rtc::from_ms(100.0)};
+    expect_rejected(plan_with({spec}), {.nreplica = 3},
+                    "fault 0 (" + ft::to_string(kind) +
+                        ") is not a data-path fault, which the unsupervised "
+                        "nreplica 3 rig needs");
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Regressions: bugs found BY the chaos soak (kept as exact reproducers)
 // ---------------------------------------------------------------------------
 

@@ -101,12 +101,6 @@ struct Rig {
     w.processes = {{replicas[0]}, {replicas[1]}};
     return w;
   }
-
-  /// The tightest analytic detection bound applicable to a silence fault.
-  [[nodiscard]] rtc::TimeNs detection_bound() const {
-    return std::min(harness->sizing().replicator_overflow_bound,
-                    harness->sizing().selector_latency_bound);
-  }
 };
 
 TEST(Supervisor, SilenceFaultIsAutoRecoveredWithinTheAnalyticBound) {
@@ -115,7 +109,7 @@ TEST(Supervisor, SilenceFaultIsAutoRecoveredWithinTheAnalyticBound) {
                         rig.harness->selector(), rig.assets(),
                         {.restart_budget = 3,
                          .initial_backoff = rtc::from_ms(20.0),
-                         .detection_latency_bound = rig.detection_bound()});
+                         .detection_latency_bound = rig.harness->sizing().detection_bound()});
   FaultCampaign campaign(rig.simulator, rig.wiring());
   campaign.add({.kind = FaultKind::kPermanentSilence,
                 .replica = ReplicaIndex::kReplica1,
@@ -129,7 +123,7 @@ TEST(Supervisor, SilenceFaultIsAutoRecoveredWithinTheAnalyticBound) {
   EXPECT_EQ(report.faults_seen, 1u);
   EXPECT_EQ(report.restarts, 1);
   ASSERT_EQ(report.detection_latencies.size(), 1u);
-  EXPECT_LE(report.detection_latencies[0], rig.detection_bound());
+  EXPECT_LE(report.detection_latencies[0], rig.harness->sizing().detection_bound());
   EXPECT_EQ(report.detections_within_bound, 1u);
   ASSERT_TRUE(report.mean_time_to_repair().has_value());
   EXPECT_GE(*report.mean_time_to_repair(), rtc::from_ms(20.0));  // backoff floor

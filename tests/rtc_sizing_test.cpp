@@ -72,6 +72,21 @@ TEST(SizingPaperNumbers, H264BoundsAsymmetric) {
   EXPECT_GT(report.selector_threshold, 1);
 }
 
+TEST(SizingPaperNumbers, MjpegDetectionBoundIsTheEarlierRule) {
+  // Overflow at 122 ms beats the selector's 240 ms.
+  EXPECT_EQ(analyze(apps::mjpeg::make_application()).detection_bound(), from_ms(122.0));
+}
+
+TEST(PipelineFifoCapacity, IsEq3OverTheHundredPeriodHorizon) {
+  const PJD producer = PJD::from_ms(10, 1, 10);
+  const PJD stage = PJD::from_ms(10, 2, 10);
+  EXPECT_EQ(pipeline_fifo_capacity(producer, stage),
+            *min_fifo_capacity(PJDUpperCurve(producer), PJDLowerCurve(stage),
+                               from_ms(1002.0)));
+  // A stage slower than its producer needs an unbounded FIFO: one token.
+  EXPECT_EQ(pipeline_fifo_capacity(producer, PJD::from_ms(20, 0, 20)), 1);
+}
+
 // ---- Replicator-side Eq. (5)/(7): thresholds and bounds, pinned exactly ----
 TEST(SizingPaperNumbers, ReplicatorDivergencePinned) {
   // The replicas' consumption curves equal their production curves in all
