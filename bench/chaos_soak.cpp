@@ -71,6 +71,9 @@ struct SoakCell {
   chaos::StormPlan plan;
   chaos::RunObservation obs;
   std::vector<chaos::Violation> violations;
+  /// The fault-free reference, kept only for violating cells (the shrinker
+  /// checks its probes against it).
+  std::optional<chaos::RunObservation> golden;
   std::string log;
   bool executed = false;
 };
@@ -168,10 +171,11 @@ int soak(int runs, int jobs, double minutes, std::uint64_t seed0,
       util::ScopedLogCapture capture;
       SoakCell& cell = cells[static_cast<std::size_t>(scheduled + i)];
       cell.plan = generator.generate(seed0 + static_cast<std::uint64_t>(scheduled + i));
-      const chaos::RunObservation golden =
+      chaos::RunObservation golden =
           chaos::run_golden(cell.plan.seed, cell.plan.run_length, rc, nreplica);
       cell.obs = chaos::run_storm(cell.plan, options);
       cell.violations = chaos::check_invariants(cell.plan, cell.obs, golden);
+      if (!cell.violations.empty()) cell.golden = std::move(golden);
       cell.executed = true;
       cell.log = capture.take();
     });
@@ -286,8 +290,8 @@ int soak(int runs, int jobs, double minutes, std::uint64_t seed0,
   }
 
   if (shrink) {
-    const chaos::ShrinkResult minimal =
-        chaos::shrink_plan(failing.plan, options, failing.violations);
+    const chaos::ShrinkResult minimal = chaos::shrink_plan(
+        failing.plan, options, failing.violations, *failing.golden);
     artifact.shrunk = minimal.faults;
     std::cout << "shrunk " << failing.plan.faults.size() << " -> "
               << minimal.faults.size() << " fault(s) in " << minimal.probes

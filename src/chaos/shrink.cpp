@@ -37,14 +37,12 @@ std::vector<ft::FaultSpec> complement_of(
 }  // namespace
 
 ShrinkResult shrink_plan(const StormPlan& plan, const RunOptions& options,
-                         const std::vector<Violation>& original) {
+                         const std::vector<Violation>& original,
+                         const RunObservation& golden) {
   SCCFT_EXPECTS(!original.empty());
 
   std::set<ViolationCode> wanted;
   for (const Violation& violation : original) wanted.insert(violation.code);
-
-  const RunObservation golden =
-      run_golden(plan.seed, plan.run_length, options.reconfig);
 
   ShrinkResult result;
   // Probes a candidate fault list; on reproduction returns true and leaves

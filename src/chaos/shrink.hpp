@@ -9,9 +9,11 @@
 // single remaining fault can be removed without losing the failure.
 //
 // Every probe is a full deterministic re-execution via run_storm, so the
-// result is a true reproducer, not a heuristic guess. Probes of a plan reuse
-// one golden run per (seed, run_length): the reference does not depend on
-// the fault subset.
+// result is a true reproducer, not a heuristic guess. Every probe is checked
+// against the caller's golden run: the reference does not depend on the
+// fault subset, and the caller already simulated it (with the plan's seed,
+// run length, reconfiguration options and replica count) to find the
+// failure in the first place.
 #pragma once
 
 #include <vector>
@@ -32,10 +34,13 @@ struct ShrinkResult {
 };
 
 /// Shrinks `plan.faults` to a 1-minimal reproducer of any violation code in
-/// `original` (the verdicts of the full plan's run). Precondition: `original`
-/// is non-empty — there must be a failure to preserve.
+/// `original` (the verdicts of the full plan's run against `golden`, the
+/// run_golden reference for the plan's seed and run length under `options`).
+/// Precondition: `original` is non-empty — there must be a failure to
+/// preserve.
 [[nodiscard]] ShrinkResult shrink_plan(const StormPlan& plan,
                                        const RunOptions& options,
-                                       const std::vector<Violation>& original);
+                                       const std::vector<Violation>& original,
+                                       const RunObservation& golden);
 
 }  // namespace sccft::chaos

@@ -36,7 +36,9 @@
 //     counted or in-bounds at the previous check of the same stream.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -118,13 +120,19 @@ class ConformanceChecker {
 
   /// Fused hot path: move the stream's observation instant to `at` (a peer's
   /// emission) and check. While no upper breach is live this touches only the
-  /// closed pointers and lower records.
+  /// closed pointers and lower records, and inside a quiet stretch (see
+  /// quiet_at) nothing but the instant.
   std::optional<Violation> advance_and_check(CurveEstimator& estimator, TimeNs at) {
     if (upper_live_) [[unlikely]] {
       SCCFT_EXPECTS(at >= estimator.instant());
       return fused_check(estimator, at, /*is_event=*/false);
     }
     ++checks_;
+    if (quiet_at(estimator, at)) {
+      SCCFT_EXPECTS(at >= estimator.instant_);
+      estimator.instant_ = at;
+      return std::nullopt;
+    }
     std::optional<Violation> found;
     estimator.advance_lower(at, [&](std::size_t j, Tokens low) {
       if (low < lower_bound_[j] &&
@@ -150,15 +158,69 @@ class ConformanceChecker {
   }
 
  private:
+  /// Whether a cross-stream advance to `at` may skip the lattice pass. After
+  /// the stream's last event, every [lo, at) count is nonincreasing in `at`,
+  /// so any later pass (the next own event, a snapshot, or an advance past
+  /// the quiet stretch) records a minimum at least as low as this one would.
+  /// Skipping is exact while no level can reach a new minimum below its
+  /// design bound — i.e. before quiet_until_, the first instant at which one
+  /// could. (An `at` equal to the last event's time needs no pass either:
+  /// that event's own pass already evaluated the same windows.)
+  bool quiet_at(const CurveEstimator& estimator, TimeNs at) {
+    // Every later event, record, report or eviction can only postpone the
+    // alarm, so a stale quiet_until_ errs early and is refreshed only once
+    // passed — except across the stream's first event, before which no
+    // level can ever fire.
+    if (at >= quiet_until_ || (!quiet_armed_ && estimator.first_event_ >= 0)) {
+      quiet_until_ = lower_quiet_until(estimator);
+      quiet_armed_ = estimator.first_event_ >= 0;
+    }
+    return at < quiet_until_;
+  }
+
+  /// First instant after the stream's last event at which some level's
+  /// [lo, at) count can drop below min(design bound, reported breach, lower
+  /// record) — the only way a lower check can fire.
+  TimeNs lower_quiet_until(const CurveEstimator& estimator) const {
+    constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
+    // First instant t with t - delta > ts (saturating: ts, delta >= 0).
+    auto after = [](TimeNs ts, TimeNs delta) {
+      return ts >= kNever - delta ? kNever : ts + delta + 1;
+    };
+    if (estimator.first_event_ < 0) return kNever;
+    const std::size_t live = estimator.live_count();
+    const TimeNs* const ts = estimator.times_.data() + estimator.start_;
+    TimeNs until = kNever;
+    for (std::size_t j = 0; j < upper_bound_.size(); ++j) {
+      Tokens floor = lower_bound_[j];
+      if (lower_reported_valid_[j] != 0) floor = std::min(floor, lower_reported_[j]);
+      if (estimator.lower_valid(static_cast<int>(j))) {
+        floor = std::min(floor, estimator.lower_[j]);
+      }
+      if (floor <= 0) continue;  // a count never drops below zero
+      const TimeNs delta = estimator.deltas_[j];
+      // The level's first complete window, and the instant the floor-th most
+      // recent event leaves it (with fewer live events the count is already
+      // below the floor).
+      TimeNs alarm = after(estimator.first_event_, delta - 1);
+      if (static_cast<std::size_t>(floor) <= live) {
+        alarm = std::max(alarm, after(ts[live - static_cast<std::size_t>(floor)], delta));
+      }
+      until = std::min(until, alarm);
+    }
+    return until;
+  }
+
   std::optional<Violation> fused_check(CurveEstimator& estimator, TimeNs at,
                                        bool is_event) {
     ++checks_;
     std::optional<Violation> found;
     bool live = false;
+    const Tokens* const upper_bound = upper_bound_.data();
     estimator.observe_with(
         at, is_event,
-        [&](std::size_t j, Tokens count) {
-          if (count > upper_bound_[j]) [[unlikely]] {
+        [&, upper_bound](std::size_t j, Tokens count) {
+          if (count > upper_bound[j]) [[unlikely]] {
             live = true;
             ++upper_violations_;
             Violation v{.at = at, .level = static_cast<int>(j), .upper = true,
@@ -207,6 +269,10 @@ class ConformanceChecker {
   /// True while some level's current window count exceeds its upper bound —
   /// set by every (fused or plain) check; gates the reduced advance path.
   bool upper_live_ = false;
+  /// Cross-stream advances before this instant skip the lattice pass
+  /// (quiet_at); quiet_armed_ once it was computed after the first event.
+  TimeNs quiet_until_ = 0;
+  bool quiet_armed_ = false;
 };
 
 }  // namespace sccft::rtc::online

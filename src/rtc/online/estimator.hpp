@@ -155,26 +155,43 @@ class CurveEstimator {
     const std::uint64_t at_tail =
         (n != 0 && times_.back() == at) ? tail_equal_ : 0;
     const TimeNs span_from = first_event_;
+    // Array bases held in locals: the byte store to lower_valid_ may alias
+    // any member, which otherwise reloads every vector's data pointer on
+    // every level.
+    const TimeNs* const deltas = deltas_.data();
+    std::uint64_t* const strict_at = strict_.data();
+    std::uint64_t* const closed_at = closed_.data();
+    Tokens* const upper = upper_.data();
+    Tokens* const lower = lower_.data();
+    std::uint8_t* const lower_valid = lower_valid_.data();
 
     const std::size_t level_count = deltas_.size();
     for (std::size_t j = 0; j < level_count; ++j) {
-      const TimeNs lo = at - deltas_[j];
+      const TimeNs lo = at - deltas[j];
 
-      std::uint64_t strict = strict_[j];
-      while (strict < end && ts[strict - base] <= lo) ++strict;
-      strict_[j] = strict;
-      std::uint64_t closed = closed_[j];
-      while (closed < end && ts[closed - base] < lo) ++closed;
-      closed_[j] = closed;
+      // In steady state a window sheds at most one event per observation:
+      // that step is taken without a branch, the loop only runs for the rest.
+      std::uint64_t strict = strict_at[j];
+      if (strict < end) [[likely]] {
+        strict += static_cast<std::uint64_t>(ts[strict - base] <= lo);
+        while (strict < end && ts[strict - base] <= lo) [[unlikely]] ++strict;
+      }
+      strict_at[j] = strict;
+      std::uint64_t closed = closed_at[j];
+      if (closed < end) [[likely]] {
+        closed += static_cast<std::uint64_t>(ts[closed - base] < lo);
+        while (closed < end && ts[closed - base] < lo) [[unlikely]] ++closed;
+      }
+      closed_at[j] = closed;
 
       const auto count = static_cast<Tokens>(end - strict);
-      if (is_event && count > upper_[j]) upper_[j] = count;
+      if (is_event && count > upper[j]) upper[j] = count;
       on_count(j, count);
       if (span_from >= 0 && lo >= span_from) {
         const auto low = static_cast<Tokens>(end - closed - at_tail);
-        if (lower_valid_[j] == 0 || low < lower_[j]) {
-          lower_valid_[j] = 1;
-          lower_[j] = low;
+        if (lower_valid[j] == 0 || low < lower[j]) {
+          lower_valid[j] = 1;
+          lower[j] = low;
           on_lower_update(j, low);
         }
       }

@@ -34,20 +34,21 @@ void OnlineMonitor::on_event(const trace::Event& event) {
   if (event.kind != trace::EventKind::kEmission) return;
   for (auto& stream : streams_) {
     // Fused estimator+checker passes (conformance.hpp): one loop over the
-    // lattice per stream per emission.
+    // lattice for the emitting stream; peers mostly skip theirs.
     if (stream.subject == event.subject) {
-      observe(stream, event.time,
-              stream.checker.add_and_check(stream.estimator, event.time),
-              /*own=*/true);
+      const auto violation = stream.checker.add_and_check(stream.estimator, event.time);
+      // Without a weakly-hard window only a breach has anything to record.
+      if (violation || stream.window) observe(stream, event.time, violation, /*own=*/true);
     } else if (event.time >
                stream.estimator.instant() + options_.cross_advance_quantum) {
       // Cross-stream advance: a peer's traffic moves this stream's clock, so
       // starvation is witnessed without waiting for the starved stream to
       // speak (or for finalize). At fleet cardinality the quantum batches
-      // these advances (see Options::cross_advance_quantum).
-      observe(stream, event.time,
-              stream.checker.advance_and_check(stream.estimator, event.time),
-              /*own=*/false);
+      // these advances (see Options::cross_advance_quantum). A clean check
+      // of a peer-driven advance records nothing (observe keeps only its
+      // misses), so only a breach leaves the loop.
+      const auto violation = stream.checker.advance_and_check(stream.estimator, event.time);
+      if (violation) [[unlikely]] observe(stream, event.time, violation, /*own=*/false);
     }
   }
 }

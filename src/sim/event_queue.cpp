@@ -17,128 +17,32 @@ void EventArena::grow() {
 
 namespace {
 
-constexpr std::size_t kMinBuckets = 16;
-constexpr unsigned kMaxWidthShift = 40;  // ~18 minutes of simulated time
-
-/// Width heuristic: one bucket per average inter-event gap, as a power of two
-/// so bucket indexing is a shift. Pure arithmetic on (span, count) — no
-/// sampling, no clocks — so resizes are deterministic.
-unsigned width_shift_for(TimeNs span, std::size_t count) {
-  const auto gap = static_cast<std::uint64_t>(
-      std::max<TimeNs>(span / static_cast<TimeNs>(std::max<std::size_t>(count, 1)), 1));
-  unsigned shift = 0;
-  while (shift < kMaxWidthShift && (std::uint64_t{1} << (shift + 1)) <= gap) ++shift;
-  return shift;
+/// Heap comparator: std::*_heap keep the *largest* element at the front, so
+/// "less" here means "fires later" to put the earliest (time, seq) on top.
+bool fires_later(const EventRecord* a, const EventRecord* b) {
+  return a->time != b->time ? a->time > b->time : a->seq > b->seq;
 }
 
 }  // namespace
 
-CalendarQueue::CalendarQueue() : buckets_(kMinBuckets, nullptr), mask_(kMinBuckets - 1) {}
-
-void CalendarQueue::link(EventRecord* rec) {
-  EventRecord** cursor = &buckets_[bucket_index(rec->time)];
-  while (*cursor != nullptr &&
-         ((*cursor)->time < rec->time ||
-          ((*cursor)->time == rec->time && (*cursor)->seq < rec->seq))) {
-    cursor = &(*cursor)->next;
-  }
-  rec->next = *cursor;
-  *cursor = rec;
-}
-
-void CalendarQueue::insert(EventRecord* rec) {
+void EventQueue::insert(EventRecord* rec) {
   SCCFT_ASSERT(rec->time >= floor_);
-  max_time_ = std::max(max_time_, rec->time);
-  link(rec);
-  ++size_;
-  cache_valid_ = false;
-  if (size_ > buckets_.size() * 2) resize(buckets_.size() * 2);
+  heap_.push_back(rec);
+  std::push_heap(heap_.begin(), heap_.end(), fires_later);
 }
 
-void CalendarQueue::resize(std::size_t bucket_count) {
-  // Collect every record, re-derive the bucket width from the actual time
-  // span of the queue's contents, and relink into the fresh table.
-  EventRecord* all = nullptr;
-  TimeNs lo = max_time_, hi = floor_;
-  for (EventRecord* head : buckets_) {
-    for (EventRecord* rec = head; rec != nullptr;) {
-      EventRecord* next = rec->next;
-      lo = std::min(lo, rec->time);
-      hi = std::max(hi, rec->time);
-      rec->next = all;
-      all = rec;
-      rec = next;
-    }
-  }
-  buckets_.assign(bucket_count, nullptr);
-  mask_ = bucket_count - 1;
-  width_shift_ = width_shift_for(hi - lo, size_);
-  for (EventRecord* rec = all; rec != nullptr;) {
-    EventRecord* next = rec->next;
-    link(rec);
-    rec = next;
-  }
-  cache_valid_ = false;
+EventRecord* EventQueue::pop() {
+  if (heap_.empty()) return nullptr;
+  std::pop_heap(heap_.begin(), heap_.end(), fires_later);
+  EventRecord* rec = heap_.back();
+  heap_.pop_back();
+  floor_ = rec->time;
+  return rec;
 }
 
-CalendarQueue::Found CalendarQueue::find_min() const {
-  // Rotation scan: walk buckets starting at the floor's virtual bucket; a
-  // head qualifies only if it belongs to the bucket's current calendar year
-  // (time < the bucket's window end), which makes it the global minimum.
-  const std::uint64_t start_virtual = static_cast<std::uint64_t>(floor_) >> width_shift_;
-  const std::uint64_t width = std::uint64_t{1} << width_shift_;
-  std::uint64_t window_end = (start_virtual + 1) << width_shift_;
-  for (std::size_t scanned = 0; scanned < buckets_.size(); ++scanned) {
-    const std::size_t bucket =
-        static_cast<std::size_t>(start_virtual + scanned) & mask_;
-    EventRecord* head = buckets_[bucket];
-    if (head != nullptr &&
-        static_cast<std::uint64_t>(head->time) < window_end) {
-      return {head, bucket};
-    }
-    window_end += width;
-  }
-  // Sparse queue: a full rotation found nothing in-year. Direct search over
-  // bucket heads (each is its bucket's minimum); ties resolve by seq.
-  Found best;
-  for (std::size_t bucket = 0; bucket < buckets_.size(); ++bucket) {
-    EventRecord* head = buckets_[bucket];
-    if (head == nullptr) continue;
-    if (best.rec == nullptr || head->time < best.rec->time ||
-        (head->time == best.rec->time && head->seq < best.rec->seq)) {
-      best = {head, bucket};
-    }
-  }
-  return best;
-}
-
-EventRecord* CalendarQueue::peek() {
-  if (size_ == 0) return nullptr;
-  if (!cache_valid_) {
-    cached_min_ = find_min();
-    cache_valid_ = true;
-  }
-  return cached_min_.rec;
-}
-
-EventRecord* CalendarQueue::pop() {
-  if (size_ == 0) return nullptr;
-  const Found found = cache_valid_ ? cached_min_ : find_min();
-  SCCFT_ASSERT(found.rec != nullptr);
-  buckets_[found.bucket] = found.rec->next;
-  --size_;
-  floor_ = found.rec->time;
-  cache_valid_ = false;
-  if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 4) {
-    resize(buckets_.size() / 2);
-  }
-  return found.rec;
-}
-
-void CalendarQueue::advance_floor(TimeNs t) {
+void EventQueue::advance_floor(TimeNs t) {
   SCCFT_ASSERT(t >= floor_);
   floor_ = t;
-  cache_valid_ = false;
 }
 
 }  // namespace sccft::sim

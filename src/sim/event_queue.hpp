@@ -1,15 +1,13 @@
 // Event storage for the simulator kernel: fixed-size inline-callable event
-// records recycled through a free-list arena, ordered by a calendar queue.
+// records recycled through a free-list arena, ordered by a binary min-heap.
 //
-// The seed kernel heap-allocated a std::function per event and kept a binary
-// heap, so every schedule paid an allocation plus O(log n) sift and every
-// dispatch another O(log n). Here an event is one 96-byte record from the
-// arena: the callable is constructed in place (callables larger than the
-// inline slot fall back to one boxed allocation), and ordering is a calendar
-// queue — O(1) amortized insert/pop for the near-uniform event densities the
-// KPN rigs produce — with the (time, seq) total order preserved exactly:
-// bucket lists are kept sorted by (time, seq), ties across buckets resolve by
-// seq, so reruns stay bit-identical with the heap kernel.
+// An event is one 96-byte record from the arena: the callable is constructed
+// in place (callables larger than the inline slot fall back to one boxed
+// allocation), so scheduling does not allocate in steady state. Ordering is a
+// binary heap of record pointers keyed on (time, seq). The KPN rigs keep only
+// about ten events pending, so a sift is two or three levels deep; the
+// calendar queue this replaced never widened its 1 ns buckets at that
+// occupancy and fell back to scanning its whole bucket table on most pops.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +39,7 @@ inline constexpr std::size_t kInlineCallableBytes = 48;
 struct EventRecord {
   TimeNs time = 0;
   std::uint64_t seq = 0;
-  EventRecord* next = nullptr;  ///< bucket list / free list link
+  EventRecord* next = nullptr;  ///< free list link
   const EventOps* ops = nullptr;
   alignas(16) unsigned char storage[kInlineCallableBytes];
 };
@@ -118,70 +116,44 @@ class EventArena final {
   EventRecord* free_ = nullptr;
 };
 
-/// Calendar queue over intrusive EventRecord lists, keyed on integer-ns time
-/// with (time, seq) tie order. Buckets are sorted singly-linked lists; the
-/// rotation scan starts at the monotone floor (the last popped time) and a
-/// full empty rotation falls back to a direct min search over bucket heads,
-/// so sparse far-future events cannot livelock the scan. Deterministic by
-/// construction: behavior is a pure function of the insert/pop sequence.
-class CalendarQueue final {
+/// Binary min-heap of EventRecord pointers ordered by (time, seq). The pair
+/// is a strict total order (seq is unique), so the pop sequence is a pure
+/// function of the inserts: any correct priority queue dispatches the same
+/// events in the same order, and reruns stay bit-identical.
+class EventQueue final {
  public:
-  CalendarQueue();
-  CalendarQueue(const CalendarQueue&) = delete;
-  CalendarQueue& operator=(const CalendarQueue&) = delete;
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   void insert(EventRecord* rec);
 
-  /// Minimum (time, seq) record without unlinking, or nullptr when empty.
-  /// The found position is cached, so an immediately following pop() is O(1).
-  [[nodiscard]] EventRecord* peek();
+  /// Minimum (time, seq) record without removing it, or nullptr when empty.
+  [[nodiscard]] EventRecord* peek() const {
+    return heap_.empty() ? nullptr : heap_.front();
+  }
 
-  /// Unlinks and returns the minimum record, or nullptr when empty.
+  /// Removes and returns the minimum record, or nullptr when empty.
   EventRecord* pop();
 
-  /// Caller guarantee: every queued event has time >= t (used by run_until
-  /// when it advances simulated time past the last event). Tightens the
-  /// rotation scan's starting bucket.
+  /// Caller guarantee: every queued and future event has time >= t (used by
+  /// run_until when it advances simulated time past the last event). Only
+  /// tightens the insert-side ordering check.
   void advance_floor(TimeNs t);
 
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Visits every queued record (unordered) — the simulator's destructor uses
   /// this to destroy still-pending callables.
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (EventRecord* head : buckets_) {
-      for (EventRecord* rec = head; rec != nullptr;) {
-        EventRecord* next = rec->next;
-        fn(rec);
-        rec = next;
-      }
-    }
+    for (EventRecord* rec : heap_) fn(rec);
   }
 
  private:
-  [[nodiscard]] std::size_t bucket_index(TimeNs t) const {
-    return static_cast<std::size_t>(static_cast<std::uint64_t>(t) >> width_shift_) &
-           mask_;
-  }
-  /// Relinks `rec` into its sorted bucket without resize bookkeeping.
-  void link(EventRecord* rec);
-  void resize(std::size_t bucket_count);
-  struct Found {
-    EventRecord* rec = nullptr;
-    std::size_t bucket = 0;
-  };
-  [[nodiscard]] Found find_min() const;
-
-  std::vector<EventRecord*> buckets_;
-  std::size_t mask_ = 0;
-  unsigned width_shift_ = 0;  ///< bucket width = 1 << width_shift_ ns
-  std::size_t size_ = 0;
-  TimeNs floor_ = 0;     ///< no queued event is earlier than this
-  TimeNs max_time_ = 0;  ///< high-water mark of inserted times
-  Found cached_min_;     ///< valid iff cache_valid_ (set by peek)
-  bool cache_valid_ = false;
+  std::vector<EventRecord*> heap_;
+  TimeNs floor_ = 0;  ///< no queued event is earlier than this
 };
 
 }  // namespace sccft::sim

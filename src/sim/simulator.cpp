@@ -56,7 +56,7 @@ void Simulator::run() {
 bool Simulator::run_until(TimeNs t) {
   SCCFT_EXPECTS(t >= now_);
   while (!stop_requested_) {
-    EventRecord* head = queue_.peek();  // cached: the pop below is O(1)
+    EventRecord* head = queue_.peek();  // the heap's front: O(1)
     if (head == nullptr || head->time > t) break;
     dispatch(queue_.pop());
   }

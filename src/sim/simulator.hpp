@@ -7,11 +7,11 @@
 // timestamp fire in scheduling order, so reruns are bit-identical.
 //
 // Events are inline-callable records recycled through a free-list arena and
-// ordered by a calendar queue (see event_queue.hpp): scheduling neither heap-
-// allocates (for callables up to kInlineCallableBytes) nor pays a binary-heap
-// sift. schedule_at is a template so the concrete lambda is constructed
-// directly into the record; the std::function-compatible overload set of the
-// seed kernel still compiles unchanged.
+// ordered by a (time, seq) binary min-heap of record pointers (see
+// event_queue.hpp): scheduling does not heap-allocate for callables up to
+// kInlineCallableBytes. schedule_at is a template so the concrete lambda is
+// constructed directly into the record; the std::function-compatible
+// overload set of the seed kernel still compiles unchanged.
 #pragma once
 
 #include <cstdint>
@@ -99,7 +99,7 @@ class Simulator final {
   bool stop_requested_ = false;
   bool stopped_ = false;
   EventArena arena_;
-  CalendarQueue queue_;
+  EventQueue queue_;
   trace::TraceBus trace_;
   trace::SubjectId trace_subject_ = 0;
 };

@@ -343,12 +343,13 @@ TEST_P(PlantedPipeline, OracleArtifactShrinkReplay) {
   // Soak until the planted bug manifests (seed 1 fires for both bugs; the
   // loop keeps the test robust to generator evolution).
   StormPlan plan;
+  RunObservation golden;
   RunObservation obs;
   std::vector<Violation> violations;
   bool found = false;
   for (std::uint64_t seed = 1; seed <= 32 && !found; ++seed) {
     plan = generator.generate(seed);
-    const RunObservation golden = run_golden(seed, plan.run_length);
+    golden = run_golden(seed, plan.run_length);
     obs = run_storm(plan, options);
     violations = check_invariants(plan, obs, golden);
     found = has_code(violations, param.expected);
@@ -362,7 +363,7 @@ TEST_P(PlantedPipeline, OracleArtifactShrinkReplay) {
   EXPECT_FALSE(artifact.registry_csv.empty());
 
   // ddmin shrink: the acceptance bar is a minimal reproducer of <= 2 faults.
-  const ShrinkResult minimal = shrink_plan(plan, options, violations);
+  const ShrinkResult minimal = shrink_plan(plan, options, violations, golden);
   ASSERT_LE(minimal.faults.size(), 2u);
   EXPECT_TRUE(has_code(minimal.violations, param.expected));
   artifact.shrunk = minimal.faults;
@@ -399,6 +400,38 @@ INSTANTIATE_TEST_SUITE_P(
                  ? "DropAfterSecondRestart"
                  : "CorruptAfterRestart";
     });
+
+TEST(Shrink, ChecksProbesAgainstTheCallersNReplicaGolden) {
+  // The shrinker checks every probe against the reference the caller passes
+  // in, here the N = 3 rig's own fault-free run (a reference simulated on
+  // the pair rig would cover a different delivery schedule). Doctoring that
+  // reference at seq 0 makes every probe mismatch, so the search must end at
+  // the empty plan after one probe.
+  StormConfig config;
+  config.nreplica = 3;
+  config.adversarial_probability = 1.0;
+  config.allow_noc = false;
+  config.min_faults = 2;
+  config.max_faults = 2;
+  const StormPlan plan = StormGenerator{config}.generate(7);
+  const RunOptions options{.nreplica = 3};
+  const RunObservation golden = run_golden(plan.seed, plan.run_length, {}, 3);
+  const RunObservation obs = run_storm(plan, options);
+  ASSERT_TRUE(check_invariants(plan, obs, golden).empty());
+  ASSERT_FALSE(golden.consumed_seqs.empty());
+  ASSERT_EQ(golden.consumed_seqs.front(), 0u);
+
+  RunObservation doctored = golden;
+  doctored.consumed_fingerprints.front() ^= 1u;
+  const std::vector<Violation> violations = check_invariants(plan, obs, doctored);
+  ASSERT_TRUE(has_code(violations, ViolationCode::kGoldenMismatch));
+
+  const ShrinkResult minimal = shrink_plan(plan, options, violations, doctored);
+  EXPECT_TRUE(minimal.faults.empty());
+  EXPECT_EQ(minimal.probes, 1);
+  ASSERT_TRUE(has_code(minimal.violations, ViolationCode::kGoldenMismatch));
+  EXPECT_EQ(minimal.violations.front().detail, "seq 0 payload differs from golden run");
+}
 
 // ---------------------------------------------------------------------------
 // Artifact parser rejects malformed input

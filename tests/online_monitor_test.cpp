@@ -8,6 +8,7 @@
 // zero-function guarantee (no events observed at all) instead.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -18,11 +19,14 @@
 #include "ft/framework.hpp"
 #include "ft/supervisor.hpp"
 #include "kpn/network.hpp"
+#include "rtc/online/conformance.hpp"
+#include "rtc/online/estimator.hpp"
 #include "rtc/online/monitor.hpp"
 #include "rtc/pjd.hpp"
 #include "rtc/time.hpp"
 #include "sim/simulator.hpp"
 #include "trace/bus.hpp"
+#include "util/rng.hpp"
 
 namespace sccft {
 namespace {
@@ -124,6 +128,61 @@ TEST(OnlineMonitor, PeerTrafficWitnessesAStarvedStream) {
   EXPECT_EQ(log.events.front().b, 1);  // lower breach
 }
 
+TEST(OnlineMonitor, PeerTrafficWitnessesStarvationAtTheExactInstant) {
+  // A strictly periodic stream's last event at T leaves the [t - P, t)
+  // window at t = T + P + 1 ns, and that is the instant a peer's emission
+  // must convict it (however the monitor batches peer-driven advances).
+  // The peer's own envelope has jitter room for the 1 ns step below.
+  trace::TraceBus bus;
+  const rtc::PJD model = rtc::PJD::from_ms(10, 0, 0);
+  const TimeNs period = model.period;
+  OnlineMonitor monitor(bus, {.base_delta = period, .levels = 3},
+                        {spec_for("stream.a", "a", 0, rtc::PJD::from_ms(10, 5, 0)),
+                         spec_for("stream.b", "b", 1, model)});
+  ViolationLog log(bus);
+  const trace::SubjectId a = bus.intern("stream.a");
+  const trace::SubjectId b = bus.intern("stream.b");
+  const TimeNs last_b = 12 * period;
+  for (TimeNs t = period; t <= last_b; t += period) {
+    bus.emit(trace::EventKind::kEmission, a, t);
+    bus.emit(trace::EventKind::kEmission, b, t);
+  }
+  bus.emit(trace::EventKind::kEmission, a, last_b + period);
+  EXPECT_TRUE(log.events.empty());
+  bus.emit(trace::EventKind::kEmission, a, last_b + period + 1);
+  ASSERT_EQ(log.events.size(), 1u);
+  EXPECT_EQ(log.events.front().subject, b);
+  EXPECT_EQ(log.events.front().time, last_b + period + 1);
+  EXPECT_EQ(log.events.front().b, 1);  // lower breach
+  EXPECT_EQ(log.events.front().c, 0);  // at the base window
+}
+
+TEST(OnlineMonitor, PeerTrafficWitnessesStarvationAtTheFirstCompleteWindow) {
+  // A single emission at P cannot fill the 2P window eta-(2P) = 2 asks for;
+  // the window first lies inside the observed span at 3P, so that instant's
+  // peer emission convicts — and one nanosecond earlier nothing may.
+  trace::TraceBus bus;
+  const rtc::PJD model = rtc::PJD::from_ms(10, 0, 0);
+  const TimeNs period = model.period;
+  OnlineMonitor monitor(bus, {.base_delta = 2 * period, .levels = 2},
+                        {spec_for("stream.a", "a", 0, rtc::PJD::from_ms(10, 5, 0)),
+                         spec_for("stream.b", "b", 1, model)});
+  ViolationLog log(bus);
+  const trace::SubjectId a = bus.intern("stream.a");
+  const trace::SubjectId b = bus.intern("stream.b");
+  bus.emit(trace::EventKind::kEmission, a, period);
+  bus.emit(trace::EventKind::kEmission, b, period);
+  bus.emit(trace::EventKind::kEmission, a, 2 * period);
+  bus.emit(trace::EventKind::kEmission, a, 3 * period - 1);
+  EXPECT_TRUE(log.events.empty());
+  bus.emit(trace::EventKind::kEmission, a, 3 * period);
+  ASSERT_EQ(log.events.size(), 1u);
+  EXPECT_EQ(log.events.front().subject, b);
+  EXPECT_EQ(log.events.front().time, 3 * period);
+  EXPECT_EQ(log.events.front().b, 1);  // lower breach
+  EXPECT_EQ(log.events.front().c, 0);
+}
+
 TEST(OnlineMonitor, FinalizePublishesReportsAndMetrics) {
   trace::TraceBus bus;
   const rtc::PJD model = rtc::PJD::from_ms(10, 1, 5);
@@ -181,6 +240,128 @@ TEST(OnlineMonitor, FinalizeRecordsTheFirstViolationInstant) {
   EXPECT_TRUE(reports.front().first->upper);
   EXPECT_GE(reports.front().upper_violations, 1u);
   EXPECT_EQ(bus.metrics().gauge("online.a.first_violation_ns"), burst_at);
+}
+
+/// The plain reference for one monitored stream: an estimator advanced and
+/// fully re-checked (ConformanceChecker::check) at every observation the
+/// monitor makes, with the monitor's one-shot escalation rule on top.
+struct PlainStream {
+  rtc::online::CurveEstimator estimator;
+  rtc::online::ConformanceChecker checker;
+  bool escalated = false;
+};
+
+// The monitor's fused, skip-ahead hot path (peer-driven advances inside a
+// quiet stretch skip the lattice pass) must be observationally identical to
+// re-checking every stream at every observation: same escalations at the same
+// instants and levels, same counters, same first breaches, same snapshots.
+// Traffic mixes jittered periodic emission with stalls (lower breaches),
+// bursts (upper breaches), same-instant emissions and an untracked subject.
+TEST(OnlineMonitor, MatchesThePlainCheckOnRandomMultiStreamTraffic) {
+  const rtc::PJD model = rtc::PJD::from_ms(10, 6, 1);
+  const TimeNs period = model.period;
+  const auto curves = rtc::ArrivalCurvePair::from_pjd(model);
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Xoshiro256 rng(seed);
+    const int levels = static_cast<int>(rng.uniform_int(3, 7));
+    const LatticeConfig lattice{.base_delta = period, .levels = levels};
+    trace::TraceBus bus;
+    OnlineMonitor monitor(bus, lattice,
+                          {spec_for("s0", "s0", 0, model), spec_for("s1", "s1", 1, model),
+                           spec_for("s2", "s2", 2, model)});
+    ViolationLog log(bus);
+    const trace::SubjectId subjects[4] = {bus.intern("s0"), bus.intern("s1"),
+                                          bus.intern("s2"), bus.intern("other")};
+    std::vector<PlainStream> plain;
+    for (int i = 0; i < 3; ++i) {
+      rtc::online::CurveEstimator estimator(lattice);
+      rtc::online::ConformanceChecker checker(estimator, curves.lower.get(),
+                                              curves.upper.get());
+      plain.push_back({std::move(estimator), std::move(checker)});
+    }
+    std::vector<trace::Event> expected;
+    auto observe = [&](int i, TimeNs at,
+                       const std::optional<rtc::online::ConformanceChecker::Violation>& v) {
+      if (!v || plain[static_cast<std::size_t>(i)].escalated) return;
+      plain[static_cast<std::size_t>(i)].escalated = true;
+      expected.push_back(trace::Event{at, trace::EventKind::kCurveViolation,
+                                      subjects[i], i, v->upper ? 0 : 1, v->level});
+    };
+
+    TimeNs t = 0;
+    int stalled = -1;  // stream kept silent during a stall episode
+    int stall_left = 0;
+    for (int step = 0; step < 1'500; ++step) {
+      if (stall_left == 0 && rng.uniform01() < 0.01) {
+        stalled = static_cast<int>(rng.uniform_int(0, 2));
+        stall_left = static_cast<int>(rng.uniform_int(10, 60));
+      }
+      int s = static_cast<int>(rng.uniform_int(0, 3));
+      if (stall_left > 0) {
+        --stall_left;
+        if (s == stalled) s = 3;
+      }
+      const int repeats = rng.uniform01() < 0.01 ? static_cast<int>(rng.uniform_int(2, 5)) : 1;
+      // Steps on a quarter-period grid plus 1 ns nudges (every other seed
+      // uses nothing else) land observations exactly on the instants an
+      // event leaves a lattice window.
+      const double u = rng.uniform01();
+      if (u < 0.35 || (seed % 2 == 1 && u >= 0.6)) {
+        t += rng.uniform_int(0, 2) * (period / 4);
+      } else if (u < 0.55) {
+        t += 1;
+      } else if (u >= 0.6) {
+        t += rng.uniform_int(0, period / 2);
+      }
+      for (int r = 0; r < repeats; ++r) {
+        bus.emit(trace::EventKind::kEmission, subjects[s], t);
+        for (int i = 0; i < 3; ++i) {
+          PlainStream& stream = plain[static_cast<std::size_t>(i)];
+          if (i == s) {
+            stream.estimator.add_event(t);
+            observe(i, t, stream.checker.check(stream.estimator));
+          } else if (t > stream.estimator.instant()) {
+            stream.estimator.advance_to(t);
+            observe(i, t, stream.checker.check(stream.estimator));
+          }
+        }
+      }
+      if (rng.uniform01() < 0.005) {
+        // A mid-run poll (the adaptation loop's) advances the estimator
+        // without checking, on both sides.
+        const auto i = static_cast<std::size_t>(rng.uniform_int(0, 2));
+        const TimeNs at = std::max(t, plain[i].estimator.instant());
+        ASSERT_EQ(monitor.snapshot_stream(i, t), plain[i].estimator.snapshot(at));
+      }
+    }
+
+    const TimeNs end = t + 3 * period;
+    const auto reports = monitor.finalize(end);
+    ASSERT_EQ(reports.size(), 3u);
+    for (int i = 0; i < 3; ++i) {
+      PlainStream& stream = plain[static_cast<std::size_t>(i)];
+      if (end > stream.estimator.instant()) {
+        stream.estimator.advance_to(end);
+        observe(i, end, stream.checker.check(stream.estimator));
+      }
+      const auto& report = reports[static_cast<std::size_t>(i)];
+      EXPECT_EQ(report.upper_violations, stream.checker.upper_violations()) << "stream " << i;
+      EXPECT_EQ(report.lower_violations, stream.checker.lower_violations()) << "stream " << i;
+      EXPECT_EQ(report.first, stream.checker.first()) << "stream " << i;
+      EXPECT_EQ(report.snapshot, stream.estimator.snapshot(stream.estimator.instant()))
+          << "stream " << i;
+    }
+    ASSERT_EQ(log.events.size(), expected.size());
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      const trace::Event& got = log.events[k];
+      EXPECT_EQ(got.time, expected[k].time) << "escalation " << k;
+      EXPECT_EQ(got.subject, expected[k].subject) << "escalation " << k;
+      EXPECT_EQ(got.a, expected[k].a) << "escalation " << k;
+      EXPECT_EQ(got.b, expected[k].b) << "escalation " << k;
+      EXPECT_EQ(got.c, expected[k].c) << "escalation " << k;
+    }
+  }
 }
 
 /// Minimal fault-tolerant rig: channels only, no processes. Enough for the

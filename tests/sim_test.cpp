@@ -1,13 +1,20 @@
 // Discrete-event simulator, coroutine task, and TSC clock tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/clock.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace sccft::sim {
 namespace {
@@ -134,6 +141,158 @@ TEST(Simulator, PastScheduleDiagnosticCarriesBothTimes) {
     EXPECT_NE(what.find("t=50"), std::string::npos) << what;
     EXPECT_NE(what.find("now()=100"), std::string::npos) << what;
   }
+}
+
+TEST(Simulator, DestructionDestroysPendingCallables) {
+  // Pending events own their callables; the destructor must destroy both the
+  // inline and the boxed (larger than kInlineCallableBytes) kinds.
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    for (int i = 0; i < 300; ++i) {
+      sim.schedule_at(10 * i, [token] { ++*token; });
+    }
+    std::array<std::int64_t, 16> ballast{};
+    static_assert(sizeof(ballast) > kInlineCallableBytes);
+    sim.schedule_at(5'000, [token, ballast] { *token += static_cast<int>(ballast[0]); });
+    sim.run_until(95);  // fires ten inline events, leaves the rest pending
+    EXPECT_EQ(*token, 10);
+    EXPECT_GT(token.use_count(), 1);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 10);
+}
+
+// ---------------------------------------------------------------------------
+// EventQueue against a brute-force reference
+// ---------------------------------------------------------------------------
+
+/// Drives an EventQueue and a plain vector side by side: every peek and pop
+/// must return the reference's (time, seq) minimum, found by a linear scan.
+class QueueDifferential {
+ public:
+  void insert(TimeNs time) {
+    EventRecord* rec = arena_.allocate();
+    rec->time = time;
+    rec->seq = next_seq_++;
+    queue_.insert(rec);
+    reference_.emplace_back(time, rec->seq);
+  }
+
+  void peek() {
+    EventRecord* head = queue_.peek();
+    if (reference_.empty()) {
+      ASSERT_EQ(head, nullptr);
+      return;
+    }
+    ASSERT_NE(head, nullptr);
+    EXPECT_EQ(std::make_pair(head->time, head->seq), *reference_min());
+  }
+
+  void pop() {
+    EventRecord* rec = queue_.pop();
+    if (reference_.empty()) {
+      ASSERT_EQ(rec, nullptr);
+      return;
+    }
+    ASSERT_NE(rec, nullptr);
+    const auto expected = reference_min();
+    ASSERT_EQ(std::make_pair(rec->time, rec->seq), *expected);
+    reference_.erase(expected);
+    floor_ = rec->time;
+    arena_.release(rec);
+  }
+
+  /// Raises the floor to a random instant no later than the earliest
+  /// pending event, as run_until does when it idles forward.
+  void advance_floor(util::Xoshiro256& rng) {
+    const TimeNs ceiling =
+        reference_.empty() ? floor_ + 1'000'000 : reference_min()->first;
+    floor_ = rng.uniform_int(floor_, ceiling);
+    queue_.advance_floor(floor_);
+  }
+
+  void check_size() const {
+    EXPECT_EQ(queue_.size(), reference_.size());
+    EXPECT_EQ(queue_.empty(), reference_.empty());
+  }
+
+  [[nodiscard]] TimeNs floor() const { return floor_; }
+  [[nodiscard]] std::size_t size() const { return reference_.size(); }
+
+  ~QueueDifferential() {
+    while (EventRecord* rec = queue_.pop()) arena_.release(rec);
+  }
+
+ private:
+  std::vector<std::pair<TimeNs, std::uint64_t>>::iterator reference_min() {
+    return std::min_element(reference_.begin(), reference_.end());
+  }
+
+  EventArena arena_;
+  EventQueue queue_;
+  std::vector<std::pair<TimeNs, std::uint64_t>> reference_;
+  std::uint64_t next_seq_ = 0;
+  TimeNs floor_ = 0;
+};
+
+/// An insertion time at or after `floor`: mostly exact ties with the floor
+/// or with each other, near-future gaps of a few microseconds, and a tail of
+/// sparse far-future events (seconds to hours ahead).
+TimeNs draw_time(util::Xoshiro256& rng, TimeNs floor) {
+  const double u = rng.uniform01();
+  if (u < 0.30) return floor;
+  if (u < 0.45) return floor + rng.uniform_int(1, 3);
+  if (u < 0.90) return floor + rng.uniform_int(1'000, 50'000);
+  return floor + rng.uniform_int(1'000'000'000, 3'600'000'000'000);
+}
+
+TEST(EventQueue, MatchesBruteForceReferenceOnRandomInterleavings) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Xoshiro256 rng(seed);
+    QueueDifferential diff;
+    for (int op = 0; op < 4'000; ++op) {
+      const double u = rng.uniform01();
+      if (u < 0.45) {
+        diff.insert(draw_time(rng, diff.floor()));
+      } else if (u < 0.80) {
+        diff.pop();
+      } else if (u < 0.92) {
+        diff.peek();
+      } else {
+        diff.advance_floor(rng);
+      }
+      diff.check_size();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EventQueue, BurstPastAThousandPendingThenDrain) {
+  util::Xoshiro256 rng(77);
+  QueueDifferential diff;
+  for (int i = 0; i < 1'500; ++i) {
+    diff.insert(draw_time(rng, diff.floor()));
+    if (i % 7 == 0) diff.peek();
+  }
+  ASSERT_EQ(diff.size(), 1'500u);
+  diff.check_size();
+  // Drain with a trickle of same-instant and near-future re-inserts (a
+  // dispatched event scheduling follow-ups), then empty the queue.
+  for (int i = 0; i < 3'000 && diff.size() > 0; ++i) {
+    diff.pop();
+    if (i % 5 == 0) diff.insert(draw_time(rng, diff.floor()));
+    if (i % 3 == 0) diff.peek();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  while (diff.size() > 0) {
+    diff.pop();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  diff.check_size();
+  diff.pop();  // empty: nullptr
+  diff.peek();
 }
 
 Task counting_task(Simulator& sim, int* counter, int rounds) {
