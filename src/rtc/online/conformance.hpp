@@ -33,7 +33,10 @@
 //     its upper bound without an own event). The fused lower test fires only
 //     when a level's running minimum improves — equivalent to re-testing
 //     every check, because a breach that does not deepen was already either
-//     counted or in-bounds at the previous check of the same stream.
+//     counted or in-bounds at the previous check of the same stream. Before
+//     the stream's quiet deadline (quiet_at) a cross-stream advance skips
+//     the lattice pass altogether: no lower test can fire there, and a later
+//     pass records a minimum at least as low.
 #pragma once
 
 #include <algorithm>
@@ -167,11 +170,11 @@ class ConformanceChecker {
   /// could. (An `at` equal to the last event's time needs no pass either:
   /// that event's own pass already evaluated the same windows.)
   bool quiet_at(const CurveEstimator& estimator, TimeNs at) {
-    // Every later event, record, report or eviction can only postpone the
-    // alarm, so a stale quiet_until_ errs early and is refreshed only once
-    // passed — except across the stream's first event, before which no
-    // level can ever fire.
-    if (at >= quiet_until_ || (!quiet_armed_ && estimator.first_event_ >= 0)) {
+    // Every later event, record or eviction can only postpone the alarm, so
+    // a stale quiet_until_ errs early and is refreshed only once passed —
+    // except across the stream's first event, before which no level can
+    // ever fire.
+    if (!quiet_armed_ || at >= quiet_until_) {
       quiet_until_ = lower_quiet_until(estimator);
       quiet_armed_ = estimator.first_event_ >= 0;
     }
@@ -179,8 +182,9 @@ class ConformanceChecker {
   }
 
   /// First instant after the stream's last event at which some level's
-  /// [lo, at) count can drop below min(design bound, reported breach, lower
-  /// record) — the only way a lower check can fire.
+  /// [lo, at) count can drop below min(design bound, lower record) — the only
+  /// way a lower check can fire (a reported breach is never below the lower
+  /// record, which only ever deepens).
   TimeNs lower_quiet_until(const CurveEstimator& estimator) const {
     constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
     // First instant t with t - delta > ts (saturating: ts, delta >= 0).
@@ -193,7 +197,6 @@ class ConformanceChecker {
     TimeNs until = kNever;
     for (std::size_t j = 0; j < upper_bound_.size(); ++j) {
       Tokens floor = lower_bound_[j];
-      if (lower_reported_valid_[j] != 0) floor = std::min(floor, lower_reported_[j]);
       if (estimator.lower_valid(static_cast<int>(j))) {
         floor = std::min(floor, estimator.lower_[j]);
       }

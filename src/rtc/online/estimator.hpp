@@ -47,7 +47,10 @@
 // ConformanceChecker is a friend: its fused observe-and-check entry points
 // (the OnlineMonitor hot path) interleave the per-level pointer maintenance
 // here with the Eq. (2) comparisons, and are allowed to let the strict
-// pointers lag during cross-stream advances (see advance_lower below).
+// pointers lag during cross-stream advances (see advance_lower below) — and,
+// inside a quiet stretch (ConformanceChecker::quiet_at), to move only the
+// instant, leaving closed pointers and lower records to the next pass (any
+// snapshot() or observation re-evaluates them).
 #pragma once
 
 #include <cstdint>

@@ -36,9 +36,12 @@ void OnlineMonitor::on_event(const trace::Event& event) {
     // Fused estimator+checker passes (conformance.hpp): one loop over the
     // lattice for the emitting stream; peers mostly skip theirs.
     if (stream.subject == event.subject) {
-      const auto violation = stream.checker.add_and_check(stream.estimator, event.time);
+      const auto violation =
+          stream.checker.add_and_check(stream.estimator, event.time);
       // Without a weakly-hard window only a breach has anything to record.
-      if (violation || stream.window) observe(stream, event.time, violation, /*own=*/true);
+      if (violation || stream.window) {
+        observe(stream, event.time, violation, /*own=*/true);
+      }
     } else if (event.time >
                stream.estimator.instant() + options_.cross_advance_quantum) {
       // Cross-stream advance: a peer's traffic moves this stream's clock, so
@@ -47,8 +50,11 @@ void OnlineMonitor::on_event(const trace::Event& event) {
       // these advances (see Options::cross_advance_quantum). A clean check
       // of a peer-driven advance records nothing (observe keeps only its
       // misses), so only a breach leaves the loop.
-      const auto violation = stream.checker.advance_and_check(stream.estimator, event.time);
-      if (violation) [[unlikely]] observe(stream, event.time, violation, /*own=*/false);
+      const auto violation =
+          stream.checker.advance_and_check(stream.estimator, event.time);
+      if (violation) [[unlikely]] {
+        observe(stream, event.time, violation, /*own=*/false);
+      }
     }
   }
 }

@@ -5,9 +5,9 @@
 // in place (callables larger than the inline slot fall back to one boxed
 // allocation), so scheduling does not allocate in steady state. Ordering is a
 // binary heap of record pointers keyed on (time, seq). The KPN rigs keep only
-// about ten events pending, so a sift is two or three levels deep; the
-// calendar queue this replaced never widened its 1 ns buckets at that
-// occupancy and fell back to scanning its whole bucket table on most pops.
+// about ten events pending, so a sift is two or three levels deep. (A
+// calendar queue does worse here: at that occupancy its density heuristic
+// never widens the 1 ns buckets, and most pops scan the whole bucket table.)
 #pragma once
 
 #include <cstddef>

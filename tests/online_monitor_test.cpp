@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/adpcm/app.hpp"
@@ -281,58 +282,54 @@ TEST(OnlineMonitor, MatchesThePlainCheckOnRandomMultiStreamTraffic) {
       plain.push_back({std::move(estimator), std::move(checker)});
     }
     std::vector<trace::Event> expected;
-    auto observe = [&](int i, TimeNs at,
-                       const std::optional<rtc::online::ConformanceChecker::Violation>& v) {
+    using Verdict = std::optional<rtc::online::ConformanceChecker::Violation>;
+    auto observe = [&](int i, TimeNs at, const Verdict& v) {
       if (!v || plain[static_cast<std::size_t>(i)].escalated) return;
       plain[static_cast<std::size_t>(i)].escalated = true;
       expected.push_back(trace::Event{at, trace::EventKind::kCurveViolation,
                                       subjects[i], i, v->upper ? 0 : 1, v->level});
     };
 
+    // Each stream emits once per period, jittered by up to a quarter period,
+    // with rare stalls (lower breaches) and same-instant bursts (upper
+    // breaches); an untracked subject interleaves its own emissions. Odd
+    // seeds stay on a quarter-period grid plus 1 ns nudges, so observations
+    // land exactly on the instants an event leaves a lattice window.
+    std::vector<std::pair<TimeNs, int>> emissions;
+    for (int s = 0; s < 4; ++s) {
+      TimeNs nominal = period;
+      for (int k = 0; k < 300; ++k, nominal += period) {
+        if (rng.uniform01() < 0.02) nominal += rng.uniform_int(2, 6) * period;
+        const TimeNs offset = seed % 2 == 1 ? rng.uniform_int(0, 1)
+                                            : rng.uniform_int(0, period / 8);
+        const TimeNs at = nominal + rng.uniform_int(-1, 1) * (period / 4) + offset;
+        const int copies =
+            rng.uniform01() < 0.01 ? static_cast<int>(rng.uniform_int(2, 4)) : 1;
+        for (int c = 0; c < copies; ++c) emissions.emplace_back(at, s);
+      }
+    }
+    std::sort(emissions.begin(), emissions.end());
+
     TimeNs t = 0;
-    int stalled = -1;  // stream kept silent during a stall episode
-    int stall_left = 0;
-    for (int step = 0; step < 1'500; ++step) {
-      if (stall_left == 0 && rng.uniform01() < 0.01) {
-        stalled = static_cast<int>(rng.uniform_int(0, 2));
-        stall_left = static_cast<int>(rng.uniform_int(10, 60));
-      }
-      int s = static_cast<int>(rng.uniform_int(0, 3));
-      if (stall_left > 0) {
-        --stall_left;
-        if (s == stalled) s = 3;
-      }
-      const int repeats = rng.uniform01() < 0.01 ? static_cast<int>(rng.uniform_int(2, 5)) : 1;
-      // Steps on a quarter-period grid plus 1 ns nudges (every other seed
-      // uses nothing else) land observations exactly on the instants an
-      // event leaves a lattice window.
-      const double u = rng.uniform01();
-      if (u < 0.35 || (seed % 2 == 1 && u >= 0.6)) {
-        t += rng.uniform_int(0, 2) * (period / 4);
-      } else if (u < 0.55) {
-        t += 1;
-      } else if (u >= 0.6) {
-        t += rng.uniform_int(0, period / 2);
-      }
-      for (int r = 0; r < repeats; ++r) {
-        bus.emit(trace::EventKind::kEmission, subjects[s], t);
-        for (int i = 0; i < 3; ++i) {
-          PlainStream& stream = plain[static_cast<std::size_t>(i)];
-          if (i == s) {
-            stream.estimator.add_event(t);
-            observe(i, t, stream.checker.check(stream.estimator));
-          } else if (t > stream.estimator.instant()) {
-            stream.estimator.advance_to(t);
-            observe(i, t, stream.checker.check(stream.estimator));
-          }
+    for (const auto& [at, s] : emissions) {
+      t = at;
+      bus.emit(trace::EventKind::kEmission, subjects[s], t);
+      for (int i = 0; i < 3; ++i) {
+        PlainStream& stream = plain[static_cast<std::size_t>(i)];
+        if (i == s) {
+          stream.estimator.add_event(t);
+          observe(i, t, stream.checker.check(stream.estimator));
+        } else if (t > stream.estimator.instant()) {
+          stream.estimator.advance_to(t);
+          observe(i, t, stream.checker.check(stream.estimator));
         }
       }
       if (rng.uniform01() < 0.005) {
         // A mid-run poll (the adaptation loop's) advances the estimator
         // without checking, on both sides.
         const auto i = static_cast<std::size_t>(rng.uniform_int(0, 2));
-        const TimeNs at = std::max(t, plain[i].estimator.instant());
-        ASSERT_EQ(monitor.snapshot_stream(i, t), plain[i].estimator.snapshot(at));
+        const TimeNs poll = std::max(t, plain[i].estimator.instant());
+        ASSERT_EQ(monitor.snapshot_stream(i, t), plain[i].estimator.snapshot(poll));
       }
     }
 
@@ -346,8 +343,10 @@ TEST(OnlineMonitor, MatchesThePlainCheckOnRandomMultiStreamTraffic) {
         observe(i, end, stream.checker.check(stream.estimator));
       }
       const auto& report = reports[static_cast<std::size_t>(i)];
-      EXPECT_EQ(report.upper_violations, stream.checker.upper_violations()) << "stream " << i;
-      EXPECT_EQ(report.lower_violations, stream.checker.lower_violations()) << "stream " << i;
+      EXPECT_EQ(report.upper_violations, stream.checker.upper_violations())
+          << "stream " << i;
+      EXPECT_EQ(report.lower_violations, stream.checker.lower_violations())
+          << "stream " << i;
       EXPECT_EQ(report.first, stream.checker.first()) << "stream " << i;
       EXPECT_EQ(report.snapshot, stream.estimator.snapshot(stream.estimator.instant()))
           << "stream " << i;
