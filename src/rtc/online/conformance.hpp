@@ -257,6 +257,18 @@ class ConformanceChecker {
     return v;
   }
 
+  // The cross-stream advance's state comes first, right after the
+  // estimator's trailing instant_ in OnlineMonitor::Stream, so a quiet
+  // advance stays within a cache line or two of the stream.
+  /// True while some level's current window count exceeds its upper bound —
+  /// set by every (fused or plain) check; gates the reduced advance path.
+  bool upper_live_ = false;
+  /// Cross-stream advances before quiet_until_ skip the lattice pass
+  /// (quiet_at); quiet_armed_ once it was computed after the first event.
+  bool quiet_armed_ = false;
+  TimeNs quiet_until_ = 0;
+  std::uint64_t checks_ = 0;
+
   std::vector<Tokens> upper_bound_;
   std::vector<Tokens> lower_bound_;
   // A lower breach at level j stays visible in the estimator's running
@@ -268,14 +280,6 @@ class ConformanceChecker {
   std::optional<Violation> first_;
   std::uint64_t upper_violations_ = 0;
   std::uint64_t lower_violations_ = 0;
-  std::uint64_t checks_ = 0;
-  /// True while some level's current window count exceeds its upper bound —
-  /// set by every (fused or plain) check; gates the reduced advance path.
-  bool upper_live_ = false;
-  /// Cross-stream advances before this instant skip the lattice pass
-  /// (quiet_at); quiet_armed_ once it was computed after the first event.
-  TimeNs quiet_until_ = 0;
-  bool quiet_armed_ = false;
 };
 
 }  // namespace sccft::rtc::online

@@ -16,10 +16,10 @@ OnlineMonitor::OnlineMonitor(trace::TraceBus& bus, const LatticeConfig& lattice,
     CurveEstimator estimator(lattice);
     ConformanceChecker checker(estimator, spec.design_lower.get(),
                                spec.design_upper.get());
-    streams_.push_back(Stream{.subject = bus_.intern(spec.subject),
-                              .name = std::move(spec.name),
+    streams_.push_back(Stream{.name = std::move(spec.name),
                               .replica = spec.replica,
                               .estimator = std::move(estimator),
+                              .subject = bus_.intern(spec.subject),
                               .checker = std::move(checker)});
     if (options_.weakly_hard) {
       streams_.back().window.emplace(*options_.weakly_hard);

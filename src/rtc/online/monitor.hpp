@@ -118,10 +118,12 @@ class OnlineMonitor final : public trace::Sink {
 
  private:
   struct Stream {
-    trace::SubjectId subject = 0;
     std::string name;
     int replica = -1;
     CurveEstimator estimator;
+    // Between the estimator's trailing instant_ and the checker's leading
+    // advance state: a peer's emission reads only this stretch.
+    trace::SubjectId subject = 0;
     ConformanceChecker checker;
     bool escalated = false;
     /// Weakly-hard acceptance state (engaged when Options::weakly_hard set).
