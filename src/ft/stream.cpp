@@ -1,6 +1,8 @@
 #include "ft/stream.hpp"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
 #include <utility>
 
 #include "kpn/timing.hpp"
@@ -38,16 +40,39 @@ sim::Task synthetic_replica(kpn::ProcessContext& ctx, rtc::PJD model,
 
 }  // namespace
 
+const SyntheticPayloads& synthetic_payloads(std::size_t token_bytes) {
+  // The tables' refs release into the pool when this registry is destroyed
+  // at exit. Touching the pool in the registry's constructor completes the
+  // pool's construction first, so static destruction (reverse order of
+  // completion) tears the registry down while the pool is still alive.
+  struct Registry {
+    Registry() { (void)kpn::PayloadPool::instance(); }
+    std::mutex mutex;
+    std::map<std::size_t, SyntheticPayloads> tables;  // nodes never move
+  };
+  static Registry registry;
+
+  const std::lock_guard<std::mutex> lock(registry.mutex);
+  const auto [it, inserted] = registry.tables.try_emplace(token_bytes);
+  if (inserted) {
+    for (std::size_t v = 0; v < it->second.size(); ++v) {
+      it->second[v] = kpn::PayloadRef::adopt(
+          std::vector<std::uint8_t>(token_bytes, static_cast<std::uint8_t>(v)));
+    }
+  }
+  return it->second;
+}
+
 sim::Task synthetic_producer(kpn::ProcessContext& ctx, rtc::PJD model,
                              std::size_t token_bytes, kpn::TokenSink& sink,
                              trace::TraceBus* bus, trace::SubjectId subject) {
+  const SyntheticPayloads& payloads = synthetic_payloads(token_bytes);
   kpn::TimingShaper shaper(model, 0, ctx.rng());
   if (bus != nullptr) shaper.bind_trace(bus, subject);
   for (std::uint64_t k = 0;; ++k) {
     const rtc::TimeNs t = shaper.next_emission(ctx.now());
     if (t > ctx.now()) co_await ctx.delay(t - ctx.now());
-    std::vector<std::uint8_t> payload(token_bytes, static_cast<std::uint8_t>(k));
-    co_await kpn::write(sink, kpn::Token(std::move(payload), k, ctx.now()));
+    co_await kpn::write(sink, kpn::Token(payloads[k & 0xff], k, ctx.now()));
     shaper.commit(ctx.now());
   }
 }

@@ -2,14 +2,22 @@
 // FaultTolerantHarness: the paper's Fig. 1 network with trivial
 // applications, producer -> replicator -> N replicas -> selector -> consumer.
 //
-// Token k carries `token_bytes` copies of (uint8)k. Every process paces
-// itself with a kpn::TimingShaper on its interface model, and all process
-// RNG seeds derive from one stream seed (producer seed*10+1, replica r
-// seed*10+2+r, consumer seed*10+2+N). Rigs differ only in what the consumer
-// does with each token, so two rigs with the same seed and timing run the
-// same schedule.
+// Token k carries `token_bytes` copies of (uint8)k. Only 256 such payloads
+// exist per token size, so each size's are built and CRC-stamped once into a
+// shared, immutable table (synthetic_payloads) and every token shares its
+// entry: an emission costs one refcount increment, with no allocation and no
+// CRC. Consumers and oracles compare checksum()s, never buffer identity, and
+// the fault helpers copy the bytes before flipping a bit, so sharing is
+// invisible to every output.
+//
+// Every process paces itself with a kpn::TimingShaper on its interface
+// model, and all process RNG seeds derive from one stream seed (producer
+// seed*10+1, replica r seed*10+2+r, consumer seed*10+2+N). Rigs differ only
+// in what the consumer does with each token, so two rigs with the same seed
+// and timing run the same schedule.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -25,6 +33,14 @@ namespace sccft::ft {
 
 /// What a consumer does with each token it reads, at the time it read it.
 using TokenAction = std::function<void(const kpn::Token&, rtc::TimeNs)>;
+
+/// The payloads of one token size: entry v holds `token_bytes` copies of
+/// (uint8)v, so token k's payload (and its CRC) is entry k & 0xff.
+using SyntheticPayloads = std::array<kpn::PayloadRef, 256>;
+
+/// The shared table for `token_bytes`, built on first use and kept for the
+/// rest of the process; thread-safe.
+const SyntheticPayloads& synthetic_payloads(std::size_t token_bytes);
 
 /// Shaped producer: writes token k into `sink` at the `model` envelope. With
 /// a bus, the shaper reports its emissions under `subject` (the feed of the

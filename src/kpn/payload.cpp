@@ -36,10 +36,9 @@ PayloadRef PayloadPool::admit(std::vector<std::uint8_t> bytes) {
 }
 
 void PayloadPool::recycle(PayloadBuffer* buf) noexcept {
-  // Only the node is recycled; its contents were move-assigned away by the
-  // next admit() anyway, so clear eagerly (outside the lock) to release any
-  // payload-held resources promptly.
-  buf->bytes_.clear();
+  // Only the node is recycled: free its bytes now (outside the lock) rather
+  // than holding them until the next admit() move-assigns them away.
+  buf->bytes_ = {};
   const std::lock_guard<std::mutex> lock(mutex_);
   buf->next_free_ = free_;
   free_ = buf;

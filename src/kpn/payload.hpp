@@ -17,6 +17,12 @@
 //    payloads through the transform caches — a buffer admitted by one worker
 //    thread may take its last release on another.
 //
+// Long-lived refs are fine: the synthetic producer's per-size tables
+// (ft/stream's synthetic_payloads) hold 256 buffers each for the whole
+// process and hand tokens copies of those refs. A ref that outlives main()
+// must be released before the pool is destroyed, i.e. its owner must finish
+// constructing after PayloadPool::instance() has.
+//
 // None of this changes simulated behaviour: buffers are immutable after
 // admission, and a buffer's crc() equals util::crc32(view()) by construction,
 // so every checksum the experiments record keeps its exact seed value.

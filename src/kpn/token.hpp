@@ -9,9 +9,11 @@
 //
 // Payload storage is the pooled PayloadRef (see payload.hpp): a buffer's CRC
 // is computed once at admission, so constructing a token from a shared
-// payload — the hot path of every replica emission — copies a cached word
-// instead of re-hashing kilobytes, and verify_checksum() is a constant-time
-// comparison of the token's stamped checksum against the buffer's true CRC.
+// payload — the hot path of every replica emission and of the synthetic
+// producer, whose 256 payloads per token size are built once — copies a
+// cached word instead of re-hashing kilobytes, and verify_checksum() is a
+// constant-time comparison of the token's stamped checksum against the
+// buffer's true CRC.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +36,8 @@ class Token final {
   Token(std::vector<std::uint8_t> payload, std::uint64_t seq, TimeNs produced_at);
 
   /// Creates a token sharing an existing pooled payload (no copy, no CRC
-  /// recomputation; used by the payload caches on every replica emission).
+  /// recomputation; used by the payload caches on every replica emission
+  /// and by the synthetic producer's per-size tables).
   Token(PayloadRef payload, std::uint64_t seq, TimeNs produced_at);
 
   [[nodiscard]] std::uint64_t seq() const { return seq_; }

@@ -14,7 +14,9 @@
 #include "chaos/shrink.hpp"
 #include "chaos/storm.hpp"
 #include "ft/fault_plan.hpp"
+#include "ft/stream.hpp"
 #include "util/assert.hpp"
+#include "util/crc32.hpp"
 
 namespace sccft::chaos {
 namespace {
@@ -189,6 +191,40 @@ TEST(Oracle, GoldenRunSatisfiesItsOwnInvariants) {
   EXPECT_TRUE(check_invariants(empty, golden, golden).empty());
   EXPECT_FALSE(golden.consumed_seqs.empty());
   EXPECT_EQ(golden.consumed_seqs.front(), 0u);
+}
+
+TEST(Oracle, CorruptionStormLeavesTheGoldenRunUnchanged) {
+  // Producers share one payload table per token size; a storm's bit flips
+  // must land in copies, so a later golden run sees the pristine payloads.
+  const std::uint64_t seed = 17;
+  const rtc::TimeNs run_length = rtc::from_sec(1.0);
+  const RunObservation before = run_golden(seed, run_length);
+  for (const ft::FaultKind kind :
+       {ft::FaultKind::kPayloadCorruption, ft::FaultKind::kSilentCorruption}) {
+    StormConfig config;
+    config.run_length = run_length;
+    config.allow_noc = false;
+    config.only_kind = kind;
+    config.pin_victim = 0;
+    config.min_faults = config.max_faults = 3;
+    const RunObservation storm = run_storm(StormGenerator{config}.generate(seed));
+    ASSERT_FALSE(storm.injections.empty()) << ft::to_string(kind);
+  }
+  const RunObservation after = run_golden(seed, run_length);
+  EXPECT_FALSE(before.consumed_fingerprints.empty());
+  EXPECT_EQ(after.consumed_seqs, before.consumed_seqs);
+  EXPECT_EQ(after.consumed_fingerprints, before.consumed_fingerprints);
+  // Fingerprints are CRCs cached at admission, blind to bytes flipped in
+  // place; check the rig's table entries byte for byte as well.
+  const ft::SyntheticPayloads& table =
+      ft::synthetic_payloads(ft::SyntheticStream{}.token_bytes);
+  for (std::size_t v = 0; v < table.size(); ++v) {
+    const kpn::PayloadRef& entry = table[v];
+    EXPECT_EQ(std::vector<std::uint8_t>(entry.view().begin(), entry.view().end()),
+              std::vector<std::uint8_t>(entry.size(), static_cast<std::uint8_t>(v)))
+        << "entry " << v;
+    EXPECT_EQ(entry.crc(), util::crc32(entry.view())) << "entry " << v;
+  }
 }
 
 TEST(Oracle, ViolationCodeTextRoundTrips) {

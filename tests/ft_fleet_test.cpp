@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <set>
 #include <string>
 #include <vector>
@@ -146,6 +147,47 @@ TEST(Fleet, RunIsDeterministic) {
     EXPECT_EQ(a.streams[i].upper_violations, b.streams[i].upper_violations);
     EXPECT_EQ(a.streams[i].lower_violations, b.streams[i].lower_violations);
   }
+}
+
+/// Everything RunIsDeterministic compares, as one comparable value.
+std::vector<std::int64_t> outcome_digest(const FleetRunResult& result) {
+  std::vector<std::int64_t> digest{
+      static_cast<std::int64_t>(result.events_processed),
+      static_cast<std::int64_t>(result.placement_cost),
+      static_cast<std::int64_t>(result.noc_contention_stalls),
+      static_cast<std::int64_t>(result.max_link_busy_ns)};
+  for (const FleetStreamOutcome& stream : result.streams) {
+    digest.insert(digest.end(),
+                  {static_cast<std::int64_t>(stream.tokens_consumed),
+                   stream.detection_latency.value_or(-1),
+                   static_cast<std::int64_t>(stream.restarts),
+                   static_cast<std::int64_t>(stream.replicator_max_fill),
+                   static_cast<std::int64_t>(stream.selector_max_fill),
+                   static_cast<std::int64_t>(stream.upper_violations),
+                   static_cast<std::int64_t>(stream.lower_violations)});
+  }
+  return digest;
+}
+
+TEST(Fleet, ConcurrentRunsMatchSerialRuns) {
+  // Two fleets of one token size on two threads share the synthetic
+  // producer's payload table, built by whichever thread asks first.
+  FleetSpec a;
+  a.streams = 4;
+  a.seed = 9;
+  FleetSpec b = a;
+  b.seed = 10;
+  a.token_bytes = b.token_bytes = 768;
+  // std::async threads hand a run_fleet exception to get() instead of
+  // terminating.
+  auto run_a =
+      std::async(std::launch::async, [&] { return run_fleet(a, quick_options()); });
+  auto run_b =
+      std::async(std::launch::async, [&] { return run_fleet(b, quick_options()); });
+  const FleetRunResult parallel_a = run_a.get();
+  const FleetRunResult parallel_b = run_b.get();
+  EXPECT_EQ(outcome_digest(parallel_a), outcome_digest(run_fleet(a, quick_options())));
+  EXPECT_EQ(outcome_digest(parallel_b), outcome_digest(run_fleet(b, quick_options())));
 }
 
 TEST(Fleet, SharedPoolGatesRestartsAcrossStreams) {
