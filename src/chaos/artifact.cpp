@@ -1,61 +1,12 @@
 #include "chaos/artifact.hpp"
 
-#include <sstream>
-#include <stdexcept>
+#include <string_view>
 
 #include "ft/fault_plan.hpp"
 #include "util/assert.hpp"
+#include "util/record.hpp"
 
 namespace sccft::chaos {
-namespace {
-
-[[noreturn]] void malformed(const char* what) {
-  util::contract_failure("precondition", what, __FILE__, __LINE__);
-}
-
-std::uint64_t parse_u64(const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(text, &used);
-    if (used != text.size()) malformed("artifact number has trailing garbage");
-    return value;
-  } catch (const std::logic_error&) {
-    malformed("artifact field is not a number");
-  }
-}
-
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
-}
-
-/// Consumes lines up to (excluding) the exact terminator line; advances `i`
-/// past the terminator. Throws if the terminator never arrives.
-std::string take_section(const std::vector<std::string>& lines, std::size_t& i,
-                         const std::string& terminator) {
-  std::string body;
-  while (i < lines.size()) {
-    if (lines[i] == terminator) {
-      ++i;
-      return body;
-    }
-    body += lines[i];
-    body += '\n';
-    ++i;
-  }
-  malformed("artifact section is truncated");
-}
-
-std::vector<ft::FaultSpec> parse_plan_section(const std::vector<std::string>& lines,
-                                              std::size_t& i,
-                                              const std::string& terminator) {
-  return ft::parse_fault_plan(take_section(lines, i, terminator));
-}
-
-}  // namespace
 
 FailureArtifact make_artifact(const StormPlan& plan, const RunOptions& options,
                               const RunObservation& obs,
@@ -76,149 +27,86 @@ FailureArtifact make_artifact(const StormPlan& plan, const RunOptions& options,
 }
 
 std::string serialize(const FailureArtifact& artifact) {
-  std::ostringstream out;
-  out << "sccft-chaos-artifact v1\n";
-  out << "seed " << artifact.seed << '\n';
-  out << "run-length-ns " << artifact.run_length << '\n';
-  out << "planted " << to_string(artifact.planted) << '\n';
-  out << "control-plane " << (artifact.control_plane.enabled ? 1 : 0) << ' '
-      << (artifact.control_plane.watchdog ? 1 : 0) << ' '
-      << (artifact.control_plane.scrubber ? 1 : 0) << ' '
-      << artifact.control_plane.heartbeat_period << ' '
-      << artifact.control_plane.watchdog_deadline << ' '
-      << artifact.control_plane.scrub_period << '\n';
-  out << "reconfigure " << (artifact.reconfig.enabled ? 1 : 0) << ' '
-      << artifact.reconfig.period << ' ' << artifact.reconfig.quiesce_window
-      << ' ' << artifact.reconfig.grow << '\n';
+  const ControlPlaneOptions& control = artifact.control_plane;
+  const ReconfigOptions& reconfig = artifact.reconfig;
+  util::RecordWriter out;
+  out.line("sccft-chaos-artifact v1")
+      .line("seed", artifact.seed)
+      .line("run-length-ns", artifact.run_length)
+      .line("planted", to_string(artifact.planted))
+      .line("control-plane", control.enabled ? 1 : 0, control.watchdog ? 1 : 0,
+            control.scrubber ? 1 : 0, control.heartbeat_period,
+            control.watchdog_deadline, control.scrub_period)
+      .line("reconfigure", reconfig.enabled ? 1 : 0, reconfig.period,
+            reconfig.quiesce_window, reconfig.grow);
   // Emitted only for N-replica rigs: 2-replica artifacts stay byte-identical
   // to the pre-selective-protection format.
-  if (artifact.nreplica != 2) out << "protection " << artifact.nreplica << '\n';
+  if (artifact.nreplica != 2) out.line("protection", artifact.nreplica);
   for (const Violation& violation : artifact.violations) {
-    out << "violation " << to_string(violation.code) << ' ' << violation.detail
-        << '\n';
+    out.line("violation", to_string(violation.code), violation.detail);
   }
-  out << "plan-begin\n" << ft::serialize(artifact.plan) << "plan-end\n";
+  out.line("plan-begin").block(ft::serialize(artifact.plan), "plan-end");
   if (artifact.shrunk) {
-    out << "shrunk-begin\n" << ft::serialize(*artifact.shrunk) << "shrunk-end\n";
+    out.line("shrunk-begin").block(ft::serialize(*artifact.shrunk), "shrunk-end");
   }
-  out << "flight-begin\n" << artifact.flight_csv;
-  if (!artifact.flight_csv.empty() && artifact.flight_csv.back() != '\n') out << '\n';
-  out << "flight-end\n";
-  out << "registry-begin\n" << artifact.registry_csv;
-  if (!artifact.registry_csv.empty() && artifact.registry_csv.back() != '\n') {
-    out << '\n';
-  }
-  out << "registry-end\n";
-  return out.str();
+  out.line("flight-begin").block(artifact.flight_csv, "flight-end");
+  out.line("registry-begin").block(artifact.registry_csv, "registry-end");
+  return std::move(out).str();
 }
 
 FailureArtifact parse_artifact(const std::string& text) {
-  const std::vector<std::string> lines = split_lines(text);
-  std::size_t i = 0;
-  if (i >= lines.size() || lines[i] != "sccft-chaos-artifact v1") {
-    malformed("artifact header missing or wrong version");
-  }
-  ++i;
-
+  util::RecordReader in(text, "chaos artifact");
+  in.header("sccft-chaos-artifact v1");
   FailureArtifact artifact;
   bool seen_seed = false;
-  bool seen_run_length = false;
   bool seen_plan = false;
-  while (i < lines.size()) {
-    const std::string& line = lines[i];
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (key.empty()) {  // blank separator lines are tolerated between sections
-      ++i;
-      continue;
-    }
-    if (key == "seed") {
-      std::string value;
-      fields >> value;
-      artifact.seed = parse_u64(value);
+  while (in.next()) {
+    const std::string_view tag = in.tag();
+    if (tag.empty()) continue;  // blank separator lines between sections
+    if (tag == "seed") {
+      artifact.seed = in.u64("seed");
       seen_seed = true;
-      ++i;
-    } else if (key == "run-length-ns") {
-      std::string value;
-      fields >> value;
-      artifact.run_length = static_cast<rtc::TimeNs>(parse_u64(value));
-      seen_run_length = true;
-      ++i;
-    } else if (key == "planted") {
-      std::string tag;
-      fields >> tag;
-      artifact.planted = planted_bug_from_text(tag);
-      ++i;
-    } else if (key == "control-plane") {
-      std::string enabled, watchdog, scrubber, heartbeat, deadline, scrub;
-      fields >> enabled >> watchdog >> scrubber >> heartbeat >> deadline >> scrub;
-      const auto parse_bool = [](const std::string& token) {
-        if (token == "1") return true;
-        if (token == "0") return false;
-        malformed("control-plane flag must be 0 or 1");
-      };
-      artifact.control_plane.enabled = parse_bool(enabled);
-      artifact.control_plane.watchdog = parse_bool(watchdog);
-      artifact.control_plane.scrubber = parse_bool(scrubber);
-      artifact.control_plane.heartbeat_period =
-          static_cast<rtc::TimeNs>(parse_u64(heartbeat));
-      artifact.control_plane.watchdog_deadline =
-          static_cast<rtc::TimeNs>(parse_u64(deadline));
-      artifact.control_plane.scrub_period =
-          static_cast<rtc::TimeNs>(parse_u64(scrub));
-      ++i;
-    } else if (key == "reconfigure") {
-      std::string enabled, period, quiesce, grow;
-      fields >> enabled >> period >> quiesce >> grow;
-      if (enabled != "0" && enabled != "1") {
-        malformed("reconfigure flag must be 0 or 1");
-      }
-      artifact.reconfig.enabled = enabled == "1";
-      artifact.reconfig.period = static_cast<rtc::TimeNs>(parse_u64(period));
-      artifact.reconfig.quiesce_window =
-          static_cast<rtc::TimeNs>(parse_u64(quiesce));
-      artifact.reconfig.grow = static_cast<rtc::Tokens>(parse_u64(grow));
-      ++i;
-    } else if (key == "protection") {
-      std::string count;
-      fields >> count;
-      artifact.nreplica = static_cast<int>(parse_u64(count));
-      if (artifact.nreplica < 2) malformed("protection replica count must be >= 2");
-      ++i;
-    } else if (key == "violation") {
-      std::string tag;
-      fields >> tag;
-      Violation violation;
-      violation.code = violation_code_from_text(tag);
-      std::getline(fields, violation.detail);
-      if (!violation.detail.empty() && violation.detail.front() == ' ') {
-        violation.detail.erase(0, 1);
-      }
-      artifact.violations.push_back(std::move(violation));
-      ++i;
-    } else if (line == "plan-begin") {
-      ++i;
-      artifact.plan = parse_plan_section(lines, i, "plan-end");
+    } else if (tag == "run-length-ns") {
+      artifact.run_length = in.i64("run_length_ns", 1);
+    } else if (tag == "planted") {
+      artifact.planted = in.enumeration("planted", planted_bug_from_text);
+    } else if (tag == "control-plane") {
+      ControlPlaneOptions& control = artifact.control_plane;
+      control.enabled = in.i64("enabled", 0, 1) == 1;
+      control.watchdog = in.i64("watchdog", 0, 1) == 1;
+      control.scrubber = in.i64("scrubber", 0, 1) == 1;
+      control.heartbeat_period = in.i64("heartbeat_ns", 0);
+      control.watchdog_deadline = in.i64("deadline_ns", 0);
+      control.scrub_period = in.i64("scrub_ns", 0);
+    } else if (tag == "reconfigure") {
+      ReconfigOptions& reconfig = artifact.reconfig;
+      reconfig.enabled = in.i64("enabled", 0, 1) == 1;
+      reconfig.period = in.i64("period_ns", 0);
+      reconfig.quiesce_window = in.i64("quiesce_ns", 0);
+      reconfig.grow = in.i64("grow", 0);
+    } else if (tag == "protection") {
+      artifact.nreplica = in.i32("nreplica", 2);
+    } else if (tag == "violation") {
+      artifact.violations.push_back(
+          {in.enumeration("code", violation_code_from_text), in.rest()});
+    } else if (tag == "plan-begin") {
+      artifact.plan = ft::read_fault_plan(in, "plan-end");
       seen_plan = true;
-    } else if (line == "shrunk-begin") {
-      ++i;
-      artifact.shrunk = parse_plan_section(lines, i, "shrunk-end");
-    } else if (line == "flight-begin") {
-      ++i;
-      artifact.flight_csv = take_section(lines, i, "flight-end");
-    } else if (line == "registry-begin") {
-      ++i;
-      artifact.registry_csv = take_section(lines, i, "registry-end");
+    } else if (tag == "shrunk-begin") {
+      artifact.shrunk = ft::read_fault_plan(in, "shrunk-end");
+    } else if (tag == "flight-begin") {
+      artifact.flight_csv = in.block("flight-end");
+    } else if (tag == "registry-begin") {
+      artifact.registry_csv = in.block("registry-end");
     } else {
-      malformed("artifact contains an unknown directive");
+      in.fail("unknown directive '" + std::string(tag) + "'");
     }
+    in.end();
   }
-  if (!seen_seed) malformed("artifact is missing its seed");
-  if (!seen_run_length) malformed("artifact is missing its run length");
-  if (!seen_plan) malformed("artifact is missing its fault plan");
-  if (artifact.violations.empty()) malformed("artifact records no violations");
-  if (artifact.run_length <= 0) malformed("artifact run length must be positive");
+  if (!seen_seed) in.fail("the artifact has no seed line");
+  if (artifact.run_length == 0) in.fail("the artifact has no run-length-ns line");
+  if (!seen_plan) in.fail("the artifact has no plan section");
+  if (artifact.violations.empty()) in.fail("the artifact records no violations");
   return artifact;
 }
 

@@ -7,7 +7,8 @@
 // re-executes the plan byte-for-byte (RepTFD-style deterministic replay), and
 // the ddmin shrinker appends the minimal reproducer plan it finds.
 //
-// Format (version tag first, parse rejects anything else):
+// Format (version tag first, parse rejects anything else; blank lines
+// between records are skipped):
 //
 //   sccft-chaos-artifact v1
 //   seed <u64>
@@ -37,9 +38,10 @@
 //   <metrics-registry CSV>
 //   registry-end
 //
-// parse_artifact throws util::ContractViolation on malformed input (missing
-// header, unknown section, truncated section, bad numbers) — the same
-// contract discipline as ft::parse_fault_plan.
+// The lines are util/record.hpp records. parse_artifact throws
+// util::ContractViolation on malformed input (missing header, unknown
+// section, truncated section, bad or out-of-range numbers, trailing fields),
+// naming the line, the field and the offending text.
 #pragma once
 
 #include <cstdint>

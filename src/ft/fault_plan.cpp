@@ -1,16 +1,13 @@
 #include "ft/fault_plan.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 
 #include "ft/supervisor.hpp"
 #include "scc/topology.hpp"
 #include "trace/sinks.hpp"
 #include "util/assert.hpp"
+#include "util/record.hpp"
 
 namespace sccft::ft {
 
@@ -52,72 +49,69 @@ namespace {
 
 constexpr std::size_t kMaxPlanLines = 10'000;
 
-/// Full-precision double rendering so parse(serialize(x)) is exact.
-std::string render_double(double value) {
-  std::ostringstream out;
-  out << std::setprecision(std::numeric_limits<double>::max_digits10) << value;
-  return out.str();
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  return tokens;
-}
-
-std::int64_t parse_int(const std::string& token) {
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(token.c_str(), &end, 10);
-  SCCFT_EXPECTS(end != nullptr && *end == '\0' && end != token.c_str());
-  SCCFT_EXPECTS(errno != ERANGE);
-  return static_cast<std::int64_t>(value);
-}
-
-std::uint64_t parse_uint(const std::string& token) {
-  SCCFT_EXPECTS(!token.empty() && token.front() != '-');
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  SCCFT_EXPECTS(end != nullptr && *end == '\0' && end != token.c_str());
-  SCCFT_EXPECTS(errno != ERANGE);
-  return static_cast<std::uint64_t>(value);
-}
-
-double parse_double(const std::string& token) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  SCCFT_EXPECTS(end != nullptr && *end == '\0' && end != token.c_str());
-  SCCFT_EXPECTS(errno != ERANGE);
-  SCCFT_EXPECTS(std::isfinite(value));
-  return value;
-}
-
 /// The data-path victim of `spec` as a channel interface index.
 ReplicaIndex victim_of(const FaultSpec& spec) {
   return static_cast<ReplicaIndex>(victim_index(spec));
 }
 
+/// Reads the "fault ..." record on `in`'s current line. Range and per-kind
+/// checks mirror FaultCampaign::add: a plan that parses is a plan that arms.
+FaultSpec read_fault_spec(util::RecordReader& in) {
+  if (in.tag() != "fault") in.fail("expected a 'fault' record");
+  const auto probability = [&in](const char* field) {
+    const double p = in.f64(field);
+    in.check(p >= 0.0 && p <= 1.0, "is not a probability");
+    return p;
+  };
+  FaultSpec spec;
+  spec.kind = in.enumeration("kind", fault_kind_from_text);
+  const bool silence = spec.kind == FaultKind::kTransientSilence ||
+                       spec.kind == FaultKind::kIntermittentSilence;
+  const bool bursts = spec.kind == FaultKind::kIntermittentSilence;
+  spec.replica = in.i32("replica", 1, 2) == 1 ? ReplicaIndex::kReplica1
+                                              : ReplicaIndex::kReplica2;
+  spec.at = in.i64("at", 0);
+  spec.duration = in.i64("duration", silence ? 1 : 0,
+                         std::numeric_limits<rtc::TimeNs>::max() - spec.at);
+  spec.rate_factor = in.f64("rate_factor");
+  in.check(spec.kind != FaultKind::kRateDegradation || spec.rate_factor > 1.0,
+           "must exceed 1 for a rate degradation");
+  spec.corrupt_probability = probability("corrupt_probability");
+  in.check(spec.corrupt_probability > 0.0 ||
+               (spec.kind != FaultKind::kPayloadCorruption &&
+                spec.kind != FaultKind::kSilentCorruption),
+           "must be positive for a corruption");
+  spec.burst_on_mean = in.i64("burst_on_mean", bursts ? 1 : 0);
+  spec.burst_off_mean = in.i64("burst_off_mean", bursts ? 1 : 0);
+  spec.seed = in.u64("seed");
+  spec.noc.chunk_drop_probability = probability("noc_drop_probability");
+  spec.noc.chunk_delay_probability = probability("noc_delay_probability");
+  spec.noc.delay_min_ns = in.i64("noc_delay_min_ns", 0);
+  spec.noc.delay_max_ns = in.i64("noc_delay_max_ns", spec.noc.delay_min_ns);
+  spec.noc.max_retries = in.i32("max_retries", 0);
+  spec.noc.retry_timeout_ns = in.i64("retry_timeout_ns", 0);
+  // The tile is absent from legacy (pre-control-plane) 16-field lines, so
+  // stored chaos artifacts stay replayable with tile 0.
+  if (in.more()) spec.tile = in.i32("tile", 0, scc::kTileCount - 1);
+  if (in.more()) spec.victim = in.i32("victim", 0, 16);
+  in.end();
+  return spec;
+}
+
 }  // namespace
 
 std::string serialize(const FaultSpec& spec) {
-  std::ostringstream out;
-  out << "fault " << to_string(spec.kind) << ' '
-      << (index_of(spec.replica) + 1) << ' ' << spec.at << ' ' << spec.duration
-      << ' ' << render_double(spec.rate_factor) << ' '
-      << render_double(spec.corrupt_probability) << ' ' << spec.burst_on_mean
-      << ' ' << spec.burst_off_mean << ' ' << spec.seed << ' '
-      << render_double(spec.noc.chunk_drop_probability) << ' '
-      << render_double(spec.noc.chunk_delay_probability) << ' '
-      << spec.noc.delay_min_ns << ' ' << spec.noc.delay_max_ns << ' '
-      << spec.noc.max_retries << ' ' << spec.noc.retry_timeout_ns << ' '
-      << spec.tile;
+  util::RecordWriter out;
+  out.raw("fault").fields(to_string(spec.kind), index_of(spec.replica) + 1, spec.at,
+                          spec.duration, spec.rate_factor, spec.corrupt_probability,
+                          spec.burst_on_mean, spec.burst_off_mean, spec.seed,
+                          spec.noc.chunk_drop_probability,
+                          spec.noc.chunk_delay_probability, spec.noc.delay_min_ns,
+                          spec.noc.delay_max_ns, spec.noc.max_retries,
+                          spec.noc.retry_timeout_ns, spec.tile);
   // Emitted only when set: 2-replica plans keep their historical byte layout.
-  if (spec.victim != 0) out << ' ' << spec.victim;
-  return out.str();
+  if (spec.victim != 0) out.fields(spec.victim);
+  return std::move(out).str();
 }
 
 std::string serialize(const std::vector<FaultSpec>& plan) {
@@ -130,92 +124,32 @@ std::string serialize(const std::vector<FaultSpec>& plan) {
 }
 
 FaultSpec parse_fault_spec(const std::string& line) {
-  const std::vector<std::string> tokens = tokenize(line);
-  // 16 tokens is the legacy (pre-control-plane) format without the trailing
-  // tile field: stored chaos artifacts stay replayable, tile defaults to 0.
-  // 18 tokens adds the N-replica victim selector after the tile.
-  SCCFT_EXPECTS(tokens.size() >= 16 && tokens.size() <= 18);
-  SCCFT_EXPECTS(tokens[0] == "fault");
-
-  FaultSpec spec;
-  spec.kind = fault_kind_from_text(tokens[1]);
-  const std::int64_t replica = parse_int(tokens[2]);
-  SCCFT_EXPECTS(replica == 1 || replica == 2);
-  spec.replica = replica == 1 ? ReplicaIndex::kReplica1 : ReplicaIndex::kReplica2;
-  spec.at = parse_int(tokens[3]);
-  SCCFT_EXPECTS(spec.at >= 0);
-  spec.duration = parse_int(tokens[4]);
-  SCCFT_EXPECTS(spec.duration >= 0);
-  spec.rate_factor = parse_double(tokens[5]);
-  spec.corrupt_probability = parse_double(tokens[6]);
-  SCCFT_EXPECTS(spec.corrupt_probability >= 0.0 && spec.corrupt_probability <= 1.0);
-  spec.burst_on_mean = parse_int(tokens[7]);
-  SCCFT_EXPECTS(spec.burst_on_mean >= 0);
-  spec.burst_off_mean = parse_int(tokens[8]);
-  SCCFT_EXPECTS(spec.burst_off_mean >= 0);
-  spec.seed = parse_uint(tokens[9]);
-  spec.noc.chunk_drop_probability = parse_double(tokens[10]);
-  SCCFT_EXPECTS(spec.noc.chunk_drop_probability >= 0.0 &&
-                spec.noc.chunk_drop_probability <= 1.0);
-  spec.noc.chunk_delay_probability = parse_double(tokens[11]);
-  SCCFT_EXPECTS(spec.noc.chunk_delay_probability >= 0.0 &&
-                spec.noc.chunk_delay_probability <= 1.0);
-  spec.noc.delay_min_ns = parse_int(tokens[12]);
-  SCCFT_EXPECTS(spec.noc.delay_min_ns >= 0);
-  spec.noc.delay_max_ns = parse_int(tokens[13]);
-  SCCFT_EXPECTS(spec.noc.delay_max_ns >= spec.noc.delay_min_ns);
-  spec.noc.max_retries = static_cast<int>(parse_int(tokens[14]));
-  SCCFT_EXPECTS(spec.noc.max_retries >= 0);
-  spec.noc.retry_timeout_ns = parse_int(tokens[15]);
-  SCCFT_EXPECTS(spec.noc.retry_timeout_ns >= 0);
-  if (tokens.size() >= 17) {
-    spec.tile = static_cast<int>(parse_int(tokens[16]));
-    SCCFT_EXPECTS(spec.tile >= 0 && spec.tile < scc::kTileCount);
-  }
-  if (tokens.size() >= 18) {
-    spec.victim = static_cast<int>(parse_int(tokens[17]));
-    SCCFT_EXPECTS(spec.victim >= 0 && spec.victim <= 16);
-  }
-
-  // Per-kind semantic checks, mirroring FaultCampaign::add: a plan that
-  // parses is a plan that arms.
-  switch (spec.kind) {
-    case FaultKind::kPermanentSilence:
-    case FaultKind::kNocLink:
-    case FaultKind::kSupervisorHang:
-    case FaultKind::kCounterCorruption:
-    case FaultKind::kTraceSinkStuck:
-      break;
-    case FaultKind::kTransientSilence:
-      SCCFT_EXPECTS(spec.duration > 0);
-      break;
-    case FaultKind::kIntermittentSilence:
-      SCCFT_EXPECTS(spec.duration > 0);
-      SCCFT_EXPECTS(spec.burst_on_mean > 0 && spec.burst_off_mean > 0);
-      break;
-    case FaultKind::kRateDegradation:
-      SCCFT_EXPECTS(spec.rate_factor > 1.0);
-      break;
-    case FaultKind::kPayloadCorruption:
-    case FaultKind::kSilentCorruption:
-      SCCFT_EXPECTS(spec.corrupt_probability > 0.0);
-      break;
-  }
+  util::RecordReader in(line, "fault line");
+  if (!in.next()) in.fail("expected a 'fault' record");
+  const FaultSpec spec = read_fault_spec(in);
+  if (in.next()) in.fail("expected one line");
   return spec;
 }
 
-std::vector<FaultSpec> parse_fault_plan(const std::string& text) {
+std::vector<FaultSpec> read_fault_plan(util::RecordReader& in,
+                                       std::string_view terminator) {
+  in.end();
   std::vector<FaultSpec> plan;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    SCCFT_EXPECTS(++lines <= kMaxPlanLines);
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    plan.push_back(parse_fault_spec(line));
+  for (std::size_t lines = 1; in.next(); ++lines) {
+    if (!terminator.empty() && in.line() == terminator) return plan;
+    if (lines > kMaxPlanLines) in.fail("the plan exceeds 10000 lines");
+    if (in.tag().empty() || in.tag().front() == '#') continue;
+    plan.push_back(read_fault_spec(in));
+  }
+  if (!terminator.empty()) {
+    in.fail("the plan has no '" + std::string(terminator) + "' line");
   }
   return plan;
+}
+
+std::vector<FaultSpec> parse_fault_plan(const std::string& text) {
+  util::RecordReader in(text, "fault plan");
+  return read_fault_plan(in, {});
 }
 
 FaultCampaign::FaultCampaign(sim::Simulator& sim, Wiring wiring,

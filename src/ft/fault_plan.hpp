@@ -50,6 +50,7 @@
 #include "scc/noc.hpp"
 #include "sim/simulator.hpp"
 #include "trace/bus.hpp"
+#include "util/record.hpp"
 #include "util/rng.hpp"
 
 namespace sccft::trace {
@@ -132,17 +133,18 @@ struct FaultSpec {
 // ---------------------------------------------------------------------------
 // Text serialization — the chaos artifact / replay format (src/chaos).
 //
-// One line per fault, whitespace-separated, same idiom as rtc/serialize.hpp:
+// One util/record.hpp line per fault, whitespace-separated:
 //
 //   fault <kind> <replica:1|2> <at_ns> <duration_ns> <rate_factor>
 //         <corrupt_probability> <burst_on_ns> <burst_off_ns> <seed>
 //         <noc_drop_p> <noc_delay_p> <noc_delay_min_ns> <noc_delay_max_ns>
 //         <noc_max_retries> <noc_retry_timeout_ns> <tile> <victim>
 //
-// The trailing <tile> field is optional on parse (legacy 16-token lines get
+// The trailing <tile> field is optional on parse (legacy 16-field lines get
 // tile = 0), always emitted on serialize. The <victim> field after it is the
 // N-replica victim selector: optional on parse (= 0), emitted only when
-// nonzero so 2-replica plans keep their historical byte layout.
+// nonzero so 2-replica plans keep their historical byte layout. Doubles are
+// written as "%.17g".
 //
 // A plan is a sequence of such lines; blank lines and lines starting with '#'
 // are ignored. Round-trip guarantee: parse(serialize(x)) == x field-by-field
@@ -156,15 +158,24 @@ struct FaultSpec {
 /// Serializes a plan, one "fault ..." line per spec, trailing newline each.
 [[nodiscard]] std::string serialize(const std::vector<FaultSpec>& plan);
 
-/// Parses one "fault ..." line. Throws util::ContractViolation on malformed
-/// input: wrong tag, missing/extra/garbage fields, out-of-range values, or a
-/// spec that FaultCampaign::add would reject (e.g. a transient silence with
-/// zero duration) — never undefined behaviour.
+/// Parses one "fault ..." line. Throws util::ContractViolation, naming the
+/// field and its text, on malformed input: wrong tag, missing/extra/garbage
+/// fields, out-of-range values, or a spec that FaultCampaign::add would
+/// reject (e.g. a transient silence with zero duration) — never undefined
+/// behaviour.
 [[nodiscard]] FaultSpec parse_fault_spec(const std::string& line);
 
 /// Parses a multi-line plan (blank lines and '#' comments skipped). Throws
 /// util::ContractViolation on any malformed line or absurd line counts.
 [[nodiscard]] std::vector<FaultSpec> parse_fault_plan(const std::string& text);
+
+/// Reads plan lines after `in`'s current line (which must have no unread
+/// field) up to the exact line `terminator`, which becomes the current line,
+/// or to the end of the text when `terminator` is empty. For formats that
+/// embed a plan as a section (chaos artifacts): errors name the line of the
+/// enclosing text.
+[[nodiscard]] std::vector<FaultSpec> read_fault_plan(util::RecordReader& in,
+                                                     std::string_view terminator);
 
 /// A recorded fault activation (one per permanent/transient/rate/corruption
 /// injection; one per burst for intermittent faults).

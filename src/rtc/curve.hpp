@@ -80,12 +80,6 @@ class StaircaseCurve final : public Curve {
     return std::make_unique<StaircaseCurve>(*this);
   }
 
-  [[nodiscard]] const std::vector<Jump>& jumps() const { return jumps_; }
-  [[nodiscard]] Tokens base() const { return base_; }
-  [[nodiscard]] TimeNs tail_start() const { return tail_start_; }
-  [[nodiscard]] TimeNs tail_period() const { return tail_period_; }
-  [[nodiscard]] Tokens tail_step() const { return tail_step_; }
-
  private:
   Tokens base_;
   std::vector<Jump> jumps_;

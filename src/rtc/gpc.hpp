@@ -43,9 +43,6 @@ class RateLatencyCurve final : public Curve {
     return std::make_unique<RateLatencyCurve>(*this);
   }
 
-  [[nodiscard]] TimeNs token_period() const { return token_period_; }
-  [[nodiscard]] TimeNs latency() const { return latency_; }
-
  private:
   TimeNs token_period_;
   TimeNs latency_;

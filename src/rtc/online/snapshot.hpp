@@ -7,9 +7,9 @@
 // records at a virtual-time instant, so results are pure functions of the
 // event stream — byte-identical across runs and across `--jobs` values.
 //
-// This header is intentionally rtc-only (no trace/sim dependencies) so the
-// rtc serialization layer (rtc/serialize.hpp) can round-trip snapshots
-// without depending on the online subsystem's library.
+// This header is intentionally rtc-only (no trace/sim dependencies), so
+// result records (apps/common/experiment.hpp) can hold snapshots without
+// depending on the online subsystem's library.
 #pragma once
 
 #include <cstdint>

@@ -8,10 +8,6 @@
 // kAcceptanceMiss events — graduated pressure the AdaptationPolicy
 // (src/adapt/policy.hpp) converts into re-dimensioning actions (widen D,
 // grow FIFOs) long before the Supervisor would convict.
-//
-// The window state and the policy configuration are plain integer PODs so
-// rtc/serialize can round-trip them in the same line-oriented text format as
-// the empirical curve snapshots ("adapt-policy ...", "mk-window ...").
 #pragma once
 
 #include <cstdint>
@@ -23,7 +19,7 @@ namespace sccft::rtc::online {
 
 /// Tolerate up to `m` misses in any sliding window of `K` checks.
 /// m == 0 degenerates to first-miss escalation; K is capped at 64 so the
-/// window fits one machine word (and one serialized integer).
+/// window fits one machine word.
 struct WeaklyHardParams {
   int m = 2;
   int K = 10;
@@ -46,27 +42,6 @@ class WeaklyHardWindow {
     SCCFT_EXPECTS(params.m >= 0 && params.m < params.K);
   }
 
-  /// Restores a serialized window (rtc/serialize "mk-window"). `mask` holds
-  /// the outcome bits, `filled` how many checks have been seen (saturating at
-  /// K), `cursor` the ring position of the next write. The miss count is
-  /// recomputed from the mask — it is not independent state.
-  static WeaklyHardWindow from_state(WeaklyHardParams params, std::uint64_t mask,
-                                     int filled, int cursor) {
-    WeaklyHardWindow window(params);
-    SCCFT_EXPECTS(filled >= 0 && filled <= params.K);
-    SCCFT_EXPECTS(cursor >= 0 && cursor < params.K);
-    SCCFT_EXPECTS(params.K == 64 || (mask >> params.K) == 0);
-    window.mask_ = mask;
-    window.filled_ = filled;
-    window.cursor_ = cursor;
-    window.misses_ = 0;
-    for (int i = 0; i < params.K; ++i) {
-      if ((mask >> i) & 1u) ++window.misses_;
-    }
-    SCCFT_EXPECTS(window.misses_ <= filled);
-    return window;
-  }
-
   /// Pushes the outcome of one check. Returns true when the window now
   /// breaches its weakly-hard constraint (more than m misses among the last
   /// K checks).
@@ -85,9 +60,6 @@ class WeaklyHardWindow {
 
   [[nodiscard]] bool breached() const { return misses_ > params_.m; }
   [[nodiscard]] int misses() const { return misses_; }
-  [[nodiscard]] int filled() const { return filled_; }
-  [[nodiscard]] int cursor() const { return cursor_; }
-  [[nodiscard]] std::uint64_t mask() const { return mask_; }
   [[nodiscard]] const WeaklyHardParams& params() const { return params_; }
 
   friend bool operator==(const WeaklyHardWindow&, const WeaklyHardWindow&) = default;
@@ -100,8 +72,7 @@ class WeaklyHardWindow {
   int misses_ = 0;          ///< popcount of the valid mask bits
 };
 
-/// Everything the AdaptationPolicy (src/adapt) decides with — all integers so
-/// the config serializes losslessly ("adapt-policy" line, rtc/serialize).
+/// Everything the AdaptationPolicy (src/adapt) decides with.
 ///
 /// Hysteresis has two independent guards: `deadband` (tokens of slack a
 /// measured demand must clear before the policy re-dimensions — measurement

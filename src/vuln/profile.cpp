@@ -1,51 +1,26 @@
 #include "vuln/profile.hpp"
 
 #include <algorithm>
-#include <iomanip>
-#include <sstream>
+#include <string_view>
 
 #include "util/assert.hpp"
+#include "util/record.hpp"
 
 namespace sccft::vuln {
 namespace {
 
-[[noreturn]] void malformed(const char* what) {
-  util::contract_failure("precondition", what, __FILE__, __LINE__);
-}
-
-std::int64_t read_int(std::istringstream& is, const char* what) {
-  std::int64_t value = 0;
-  is >> value;
-  if (is.fail()) {
-    throw util::ContractViolation(std::string("malformed vuln text: missing ") +
-                                  what);
+/// Reads the `header` line, then hands each record up to the `end` line to
+/// `read`, which fails on a tag it does not know.
+template <class Read>
+void read_records(util::RecordReader& in, std::string_view header, Read read) {
+  in.header(header);
+  while (in.next()) {
+    if (in.tag().empty()) in.fail("empty line");
+    if (in.tag() == "end") return in.end();
+    read(in.tag());
+    in.end();
   }
-  return value;
-}
-
-std::uint64_t read_u64(std::istringstream& is, const char* what) {
-  std::uint64_t value = 0;
-  is >> value;
-  if (is.fail()) {
-    throw util::ContractViolation(std::string("malformed vuln text: missing ") +
-                                  what);
-  }
-  return value;
-}
-
-double read_double(std::istringstream& is, const char* what) {
-  double value = 0;
-  is >> value;
-  if (is.fail()) {
-    throw util::ContractViolation(std::string("malformed vuln text: missing ") +
-                                  what);
-  }
-  return value;
-}
-
-void expect_line(std::istream& in, const char* expected, const char* what) {
-  std::string line;
-  if (!std::getline(in, line) || line != expected) malformed(what);
+  in.fail("no end line");
 }
 
 }  // namespace
@@ -91,11 +66,11 @@ std::vector<int> VulnerabilityProfile::ranking() const {
 }
 
 std::string to_text(const VulnerabilityProfile& profile) {
-  std::ostringstream os;
-  os << "vuln-profile v1\n";
-  os << "seed " << profile.seed << "\n";
-  os << "run-length " << profile.run_length << "\n";
-  os << "trials " << profile.trials_per_cell << "\n";
+  util::RecordWriter out;
+  out.line("vuln-profile v1")
+      .line("seed", profile.seed)
+      .line("run-length", profile.run_length)
+      .line("trials", profile.trials_per_cell);
   for (const ProcessProfile& process : profile.processes) {
     if (process.name.empty() ||
         process.name.find_first_of(" \t\n") != std::string::npos) {
@@ -103,148 +78,86 @@ std::string to_text(const VulnerabilityProfile& profile) {
           "vuln profile process name must be one non-empty token: '" +
           process.name + "'");
     }
-    os << "process " << process.index << " " << process.name << "\n";
+    out.line("process", process.index, process.name);
     for (const CampaignCell& cell : process.cells) {
-      os << "cell " << ft::to_string(cell.kind) << " " << cell.protection
-         << " " << cell.trials << " " << cell.injections << " "
-         << cell.tokens_delivered << " " << cell.corruption_escapes << " "
-         << cell.sequence_divergences << " " << cell.deadline_misses << " "
-         << cell.detections << " " << cell.detection_latency_sum << " "
-         << cell.detection_latency_count << "\n";
+      out.line("cell", ft::to_string(cell.kind), cell.protection, cell.trials,
+               cell.injections, cell.tokens_delivered, cell.corruption_escapes,
+               cell.sequence_divergences, cell.deadline_misses, cell.detections,
+               cell.detection_latency_sum, cell.detection_latency_count);
     }
   }
-  os << "end\n";
-  return os.str();
+  out.line("end");
+  return std::move(out).str();
 }
 
 VulnerabilityProfile profile_from_text(const std::string& text) {
-  std::istringstream in(text);
-  expect_line(in, "vuln-profile v1", "vuln profile header missing");
-
+  util::RecordReader in(text, "vuln profile");
   VulnerabilityProfile profile;
-  bool saw_end = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream is(line);
-    std::string key;
-    is >> key;
-    if (key.empty()) malformed("vuln profile has an empty line");
-    if (key == "end") {
-      saw_end = true;
-      break;
-    }
-    if (key == "seed") {
-      profile.seed = read_u64(is, "seed");
-    } else if (key == "run-length") {
-      profile.run_length = read_int(is, "run length");
-      if (profile.run_length <= 0) malformed("vuln profile run-length not positive");
-    } else if (key == "trials") {
-      profile.trials_per_cell = static_cast<int>(read_int(is, "trials"));
-      if (profile.trials_per_cell <= 0) malformed("vuln profile trials not positive");
-    } else if (key == "process") {
-      ProcessProfile process;
-      process.index = static_cast<int>(read_int(is, "process index"));
-      if (process.index < 0) malformed("vuln profile process index negative");
-      is >> process.name;
-      if (process.name.empty()) malformed("vuln profile process name missing");
-      profile.processes.push_back(std::move(process));
-    } else if (key == "cell") {
-      if (profile.processes.empty()) {
-        malformed("vuln profile cell before any process");
-      }
+  read_records(in, "vuln-profile v1", [&](std::string_view tag) {
+    if (tag == "seed") {
+      profile.seed = in.u64("seed");
+    } else if (tag == "run-length") {
+      profile.run_length = in.i64("run_length", 1);
+    } else if (tag == "trials") {
+      profile.trials_per_cell = in.i32("trials", 1);
+    } else if (tag == "process") {
+      const int index = in.i32("index", 0);
+      profile.processes.push_back({in.word("name"), index, {}});
+    } else if (tag == "cell") {
+      if (profile.processes.empty()) in.fail("cell before any process line");
       CampaignCell cell;
-      std::string kind;
-      is >> kind;
-      if (kind.empty()) malformed("vuln profile cell kind missing");
-      cell.kind = ft::fault_kind_from_text(kind);
-      cell.protection = static_cast<int>(read_int(is, "cell protection"));
-      if (cell.protection < 1) malformed("vuln profile cell protection < 1");
-      cell.trials = static_cast<int>(read_int(is, "cell trials"));
-      if (cell.trials < 0) malformed("vuln profile cell trials negative");
-      cell.injections = static_cast<int>(read_int(is, "cell injections"));
-      if (cell.injections < 0) malformed("vuln profile cell injections negative");
-      cell.tokens_delivered = read_u64(is, "cell delivered");
-      cell.corruption_escapes = read_u64(is, "cell corruptions");
-      cell.sequence_divergences = read_u64(is, "cell divergences");
-      cell.deadline_misses = read_u64(is, "cell deadline misses");
-      cell.detections = read_u64(is, "cell detections");
-      cell.detection_latency_sum = read_int(is, "cell latency sum");
-      if (cell.detection_latency_sum < 0) {
-        malformed("vuln profile cell latency sum negative");
-      }
-      cell.detection_latency_count =
-          static_cast<int>(read_int(is, "cell latency count"));
-      if (cell.detection_latency_count < 0) {
-        malformed("vuln profile cell latency count negative");
-      }
+      cell.kind = in.enumeration("kind", ft::fault_kind_from_text);
+      cell.protection = in.i32("protection", 1);
+      cell.trials = in.i32("trials", 0);
+      cell.injections = in.i32("injections", 0);
+      cell.tokens_delivered = in.u64("delivered");
+      cell.corruption_escapes = in.u64("corruptions");
+      cell.sequence_divergences = in.u64("divergences");
+      cell.deadline_misses = in.u64("deadline_misses");
+      cell.detections = in.u64("detections");
+      cell.detection_latency_sum = in.i64("latency_sum_ns", 0);
+      cell.detection_latency_count = in.i32("latency_count", 0);
       profile.processes.back().cells.push_back(cell);
     } else {
-      malformed("vuln profile has an unknown key");
+      in.fail("unknown key '" + std::string(tag) + "'");
     }
-  }
-  if (!saw_end) malformed("vuln profile is truncated (no end line)");
+  });
   return profile;
 }
 
 std::string to_text(const ProtectionPlan& plan) {
-  std::ostringstream os;
-  os << "vuln-plan v1\n";
-  os << "budget " << plan.budget_extra_cores << "\n";
-  os << "cost " << plan.total_cost.cores << " " << plan.total_cost.mpb_bytes
-     << " " << plan.total_cost.noc_links << "\n";
-  os << "residual " << std::setprecision(17) << plan.residual_vulnerability
-     << "\n";
-  os << "protection";
-  for (const int n : plan.protection) os << " " << n;
-  os << "\n";
-  os << "end\n";
-  return os.str();
+  util::RecordWriter out;
+  out.line("vuln-plan v1")
+      .line("budget", plan.budget_extra_cores)
+      .line("cost", plan.total_cost.cores, plan.total_cost.mpb_bytes,
+            plan.total_cost.noc_links)
+      .line("residual", plan.residual_vulnerability)
+      .raw("protection");
+  for (const int n : plan.protection) out.fields(n);
+  out.line("").line("end");
+  return std::move(out).str();
 }
 
 ProtectionPlan plan_from_text(const std::string& text) {
-  std::istringstream in(text);
-  expect_line(in, "vuln-plan v1", "vuln plan header missing");
-
+  util::RecordReader in(text, "vuln plan");
   ProtectionPlan plan;
-  bool saw_end = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream is(line);
-    std::string key;
-    is >> key;
-    if (key.empty()) malformed("vuln plan has an empty line");
-    if (key == "end") {
-      saw_end = true;
-      break;
-    }
-    if (key == "budget") {
-      plan.budget_extra_cores = static_cast<int>(read_int(is, "budget"));
-      if (plan.budget_extra_cores < 0) malformed("vuln plan budget negative");
-    } else if (key == "cost") {
-      plan.total_cost.cores = static_cast<int>(read_int(is, "cost cores"));
-      plan.total_cost.mpb_bytes = read_u64(is, "cost mpb bytes");
-      plan.total_cost.noc_links =
-          static_cast<int>(read_int(is, "cost noc links"));
-      if (plan.total_cost.cores < 0 || plan.total_cost.noc_links < 0) {
-        malformed("vuln plan cost negative");
-      }
-    } else if (key == "residual") {
-      plan.residual_vulnerability = read_double(is, "residual");
-      if (plan.residual_vulnerability < 0.0) {
-        malformed("vuln plan residual negative");
-      }
-    } else if (key == "protection") {
-      int n = 0;
-      while (is >> n) {
-        if (n < 1) malformed("vuln plan protection level < 1");
-        plan.protection.push_back(n);
-      }
-      if (plan.protection.empty()) malformed("vuln plan protection list empty");
+  read_records(in, "vuln-plan v1", [&](std::string_view tag) {
+    if (tag == "budget") {
+      plan.budget_extra_cores = in.i32("budget", 0);
+    } else if (tag == "cost") {
+      plan.total_cost.cores = in.i32("cores", 0);
+      plan.total_cost.mpb_bytes = in.u64("mpb_bytes");
+      plan.total_cost.noc_links = in.i32("noc_links", 0);
+    } else if (tag == "residual") {
+      plan.residual_vulnerability = in.f64("residual");
+      in.check(plan.residual_vulnerability >= 0.0, "is negative");
+    } else if (tag == "protection") {
+      while (in.more()) plan.protection.push_back(in.i32("protection", 1));
+      if (plan.protection.empty()) in.fail("the protection list is empty");
     } else {
-      malformed("vuln plan has an unknown key");
+      in.fail("unknown key '" + std::string(tag) + "'");
     }
-  }
-  if (!saw_end) malformed("vuln plan is truncated (no end line)");
+  });
   return plan;
 }
 

@@ -8,7 +8,7 @@
 // answer: one replica count per process, its aggregate platform cost, and
 // the residual vulnerability the budget could not buy away.
 //
-// Both carry a line-oriented text form (rtc/serialize idiom) so profiles can
+// Both carry a line-oriented text form (util/record.hpp) so profiles can
 // be computed once, stored next to the code, diffed in review, and replayed
 // into the planner without re-running the campaigns:
 //
@@ -30,7 +30,8 @@
 //   end
 //
 // Round-trip guarantee: parse(serialize(x)) == x field-by-field. Malformed
-// input throws util::ContractViolation — never undefined behaviour.
+// input throws util::ContractViolation naming the line, the field and its
+// text — never undefined behaviour.
 #pragma once
 
 #include <cstdint>

@@ -2,8 +2,7 @@
 // window it acts on (rtc/online/weakly_hard.hpp).
 //
 // The window is tested as a pure data structure: breach exactly above m
-// misses in the last K checks, sliding forgiveness, and a lossless
-// state round-trip (the rtc/serialize "mk-window" line rides on from_state).
+// misses in the last K checks, sliding forgiveness, and parameter checks.
 //
 // The policy is tested against a real simulator + channel pair + controller,
 // with the monitor's stimuli synthesized directly on the trace bus: the
@@ -61,35 +60,7 @@ TEST(WeaklyHardWindow, HitsNeverBreach) {
   EXPECT_TRUE(window.record(true));  // m = 0: first miss escalates
 }
 
-TEST(WeaklyHardWindow, StateRoundTripIsLossless) {
-  WeaklyHardWindow window(WeaklyHardParams{.m = 3, .K = 7});
-  const bool pattern[] = {true, false, true, true, false, false, true, false, true};
-  for (const bool miss : pattern) window.record(miss);
-
-  const WeaklyHardWindow restored = WeaklyHardWindow::from_state(
-      window.params(), window.mask(), window.filled(), window.cursor());
-  EXPECT_EQ(restored, window);
-  EXPECT_EQ(restored.misses(), window.misses());
-
-  // The restored window continues exactly where the original left off.
-  WeaklyHardWindow a = window;
-  WeaklyHardWindow b = restored;
-  for (const bool miss : {true, true, false, true}) {
-    EXPECT_EQ(a.record(miss), b.record(miss));
-  }
-  EXPECT_EQ(a, b);
-}
-
-TEST(WeaklyHardWindow, FromStateRejectsGarbage) {
-  const WeaklyHardParams params{.m = 2, .K = 10};
-  EXPECT_THROW(WeaklyHardWindow::from_state(params, 0, 0, 10),
-               util::ContractViolation);  // cursor out of ring
-  EXPECT_THROW(WeaklyHardWindow::from_state(params, 0, 11, 0),
-               util::ContractViolation);  // filled > K
-  EXPECT_THROW(WeaklyHardWindow::from_state(params, std::uint64_t{1} << 10, 0, 0),
-               util::ContractViolation);  // mask bits beyond K
-  EXPECT_THROW(WeaklyHardWindow::from_state(params, 0x3, 1, 2),
-               util::ContractViolation);  // more misses than checks seen
+TEST(WeaklyHardWindow, ConstructorRejectsGarbage) {
   EXPECT_THROW(WeaklyHardWindow(WeaklyHardParams{.m = 5, .K = 5}),
                util::ContractViolation);  // m must be < K
 }

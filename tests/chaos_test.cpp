@@ -511,6 +511,12 @@ TEST(Artifact, MalformedInputThrows) {
   // Fuzz-style negatives: every structural mutilation must throw, never
   // crash or silently mis-parse.
   const std::string valid = valid_artifact_text();
+  // The valid text with its line starting `prefix` replaced by `line`.
+  const auto with_line = [&valid](const std::string& prefix, const std::string& line) {
+    std::string text = valid;
+    const std::size_t at = text.find("\n" + prefix) + 1;
+    return text.replace(at, text.find('\n', at) - at, line);
+  };
   const std::vector<std::string> bad = {
       "",                                         // empty
       "sccft-chaos-artifact v2\nseed 1\n",        // wrong version
@@ -527,6 +533,12 @@ TEST(Artifact, MalformedInputThrows) {
       "sequence-gap x\nplan-begin\nfault garbage\nplan-end\n",  // bad fault line
       "sccft-chaos-artifact v1\nseed 1\nrun-length-ns 5\nviolation "
       "sequence-gap x\nplan-begin\n",  // truncated section
+      with_line("seed", "seed -1"),      // wraps to 2^64 - 1
+      with_line("seed", "seed 5 6"),     // trailing field
+      with_line("planted", "protection 4294967298"),  // truncates to 2
+      // A u64 that wraps to a negative heartbeat period / resize step.
+      with_line("control-plane", "control-plane 1 1 1 18446744073709551615 1 1"),
+      with_line("reconfigure", "reconfigure 1 1 1 18446744073709551615"),
   };
   for (const std::string& text : bad) {
     EXPECT_THROW((void)parse_artifact(text), util::ContractViolation)
@@ -535,6 +547,22 @@ TEST(Artifact, MalformedInputThrows) {
   // Required fields must be present even if everything else parses.
   EXPECT_THROW((void)parse_artifact("sccft-chaos-artifact v1\nseed 1\n"),
                util::ContractViolation);
+}
+
+TEST(Artifact, ErrorsNameTheLineFieldAndValue) {
+  std::string text = valid_artifact_text();
+  const std::size_t at = text.find("reconfigure 0 250000000 2000000 8");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 33, "reconfigure 0 250000000 2000000 18446744073709551615");
+  try {
+    (void)parse_artifact(text);
+    FAIL() << "wrapping resize step accepted";
+  } catch (const util::ContractViolation& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("line 6"), std::string::npos) << what;
+    EXPECT_NE(what.find("grow"), std::string::npos) << what;
+    EXPECT_NE(what.find("18446744073709551615"), std::string::npos) << what;
+  }
 }
 
 TEST(Artifact, PlantedBugTextRoundTrips) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Byte-compares the deterministic outputs of two builds: stdout and CSV of
-# every bench a behaviour-preserving refactor must leave unchanged.
+# every bench a behaviour-preserving refactor must leave unchanged, plus the
+# failure artifacts of the planted-bug soaks.
 #
 #   tests/compare_outputs.sh <parent-build> <change-build> [work-dir]
 #
@@ -53,6 +54,12 @@ run_case() {
   if [[ $csv != none ]] && ! cmp -s "$work/parent/$name.csv" "$work/change/$name.csv"; then
     verdict="${verdict/same/} csv DIFFERS"
   fi
+  # chaos_soak writes an artifact only when a run fails; compare it whenever
+  # the parent wrote one (a missing change-side file differs too).
+  if [[ -e "$work/parent/$name.artifact" ]] &&
+     ! cmp -s "$work/parent/$name.artifact" "$work/change/$name.artifact"; then
+    verdict="${verdict/same/} artifact DIFFERS"
+  fi
   printf '%-28s %s\n' "$name" "$verdict"
   [[ $verdict == same ]] || failures=$((failures + 1))
 }
@@ -64,6 +71,8 @@ run_case chaos_soak_reconfigure flag chaos_soak --runs 200 --jobs 4 --reconfigur
 run_case chaos_soak_nreplica3 flag chaos_soak --runs 200 --jobs 4 --nreplica 3
 run_case chaos_soak_nreplica4 flag chaos_soak --runs 200 --jobs 4 --nreplica 4
 run_case chaos_soak_control_demo none chaos_soak --control-demo --jobs 4
+run_case chaos_soak_corrupt_after_restart flag chaos_soak --plant-bug corrupt-after-restart --runs 60 --jobs 4
+run_case chaos_soak_drop_after_second_restart flag chaos_soak --plant-bug drop-after-second-restart --runs 60 --jobs 4
 run_case fleet flag fleet --runs 2 --max-streams 48 --jobs 4
 run_case table6_adaptive none table6_adaptive --jobs 4
 run_case table7_selective flag table7_selective --jobs 4

@@ -621,12 +621,47 @@ TEST(FaultPlanText, MalformedLinesThrowNeverCrash) {
       "fault supervisor-hang 1 0 0 1 1 0 0 1 0 0 0 0 3 50000 -1",   // tile < 0
       "fault trace-sink-stuck 1 0 0 1 1 0 0 1 0 0 0 0 3 50000 999", // tile absurd
       "fault counter-corruption 1 0 0 1 1 0 0 1 0 0 0 0 3 50000 x", // garbage tile
+      "fault transient-silence 1 0 1 1 1 0 0 1 0 0 0 0 4294967296 50000",  // retries wrap
+      // at + duration overflows the arming arithmetic
+      "fault transient-silence 1 9223372036854775000 228418086 1 1 0 0 1 0 0 0 0 3 50000",
   };
   for (const std::string& line : bad) {
     EXPECT_THROW((void)parse_fault_spec(line), util::ContractViolation) << line;
   }
   // A malformed line poisons the whole plan.
   EXPECT_THROW((void)parse_fault_plan(good + "\nfault junk\n"), util::ContractViolation);
+}
+
+TEST(FaultPlanText, ErrorsNameTheLineFieldAndValue) {
+  try {
+    (void)parse_fault_plan(
+        "# header\n"
+        "fault transient-silence 1 0 1 1 1 0 0 1 0 0 0 0 4294967296 50000\n");
+    FAIL() << "out-of-range max_retries accepted";
+  } catch (const util::ContractViolation& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("max_retries"), std::string::npos) << what;
+    EXPECT_NE(what.find("4294967296"), std::string::npos) << what;
+  }
+}
+
+TEST(FaultPlanText, DoublesKeepSeventeenSignificantDigits) {
+  // Bytes of the format as stored artifacts carry them: "%.17g", not the
+  // shortest round-trip form ("1.1", "1e-05", "0.1").
+  FaultSpec spec;
+  spec.kind = FaultKind::kRateDegradation;
+  spec.rate_factor = 1.1;
+  spec.corrupt_probability = 1e-05;
+  spec.noc.chunk_drop_probability = 0.1;
+  EXPECT_EQ(serialize(spec),
+            "fault rate-degradation 1 0 0 1.1000000000000001 "
+            "1.0000000000000001e-05 0 0 1 0.10000000000000001 0 0 0 3 50000 0");
+  spec.kind = FaultKind::kPayloadCorruption;
+  spec.corrupt_probability = 0.1;
+  EXPECT_EQ(serialize(spec),
+            "fault payload-corruption 1 0 0 1.1000000000000001 "
+            "0.10000000000000001 0 0 1 0.10000000000000001 0 0 0 3 50000 0");
 }
 
 TEST(FaultPlanText, AbsurdLineCountsAreRejected) {

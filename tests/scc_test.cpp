@@ -6,7 +6,6 @@
 #include <random>
 
 #include "scc/mapping.hpp"
-#include "scc/messaging.hpp"
 #include "scc/noc.hpp"
 #include "scc/platform.hpp"
 #include "scc/topology.hpp"
@@ -110,18 +109,6 @@ TEST(Noc, SameTileTransferSkipsMesh) {
   const auto same = noc.estimate_latency(CoreId{0}, CoreId{1}, 1024);  // same tile
   const auto cross = noc.estimate_latency(CoreId{0}, CoreId{2}, 1024);
   EXPECT_LT(same, cross);
-}
-
-TEST(Messaging, CountsPerPair) {
-  NocModel noc;
-  MessagePassing mp(noc);
-  (void)mp.send(CoreId{0}, CoreId{4}, 100, 0);
-  (void)mp.send(CoreId{0}, CoreId{4}, 100, 10);
-  (void)mp.send(CoreId{4}, CoreId{0}, 100, 20);
-  EXPECT_EQ(mp.messages_sent(), 3u);
-  EXPECT_EQ(mp.bytes_sent(), 300u);
-  EXPECT_EQ(mp.messages_between(CoreId{0}, CoreId{4}), 2u);
-  EXPECT_EQ(mp.messages_between(CoreId{4}, CoreId{0}), 1u);
 }
 
 TEST(Mapping, OneProcessPerTile) {

@@ -124,6 +124,22 @@ TEST(VulnProfileText, MalformedInputThrows) {
   reject("vuln-profile v1\nprocess 0 p\ncell transient-silence 1 -1 1 1 0 0 0 0 0 0\nend\n");
   reject("vuln-profile v1\nprocess 0 p\ncell transient-silence 1 1 1 1 0 0 0 0 -7 0\nend\n");
   reject("vuln-profile v1\nprocess 0 p\ncell transient-silence 1 1 1\nend\n");
+  reject("vuln-profile v1\nseed -1\nend\n");             // wraps to 2^64 - 1
+  reject("vuln-profile v1\nseed 5x\nend\n");             // trailing garbage
+  reject("vuln-profile v1\ntrials 4 9\nend\n");          // trailing field
+  reject("vuln-profile v1\ntrials 4294967300\nend\n");   // truncates to 4
+}
+
+TEST(VulnProfileText, ErrorsNameTheLineFieldAndValue) {
+  try {
+    (void)profile_from_text("vuln-profile v1\nseed 1\ntrials 4294967300\nend\n");
+    FAIL() << "out-of-range trials accepted";
+  } catch (const util::ContractViolation& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("trials"), std::string::npos) << what;
+    EXPECT_NE(what.find("4294967300"), std::string::npos) << what;
+  }
 }
 
 TEST(VulnProfileText, SerializeRejectsWhitespaceProcessName) {
@@ -158,6 +174,37 @@ TEST(VulnPlanText, MalformedInputThrows) {
   reject("vuln-plan v1\nprotection\nend\n");         // empty protection list
   reject("vuln-plan v1\nprotection 2 0 2\nend\n");   // level < 1
   reject("vuln-plan v1\nshiny 1\nend\n");            // unknown key
+  reject("vuln-plan v1\nprotection 2 x 3\nend\n");   // garbage level
+  reject("vuln-plan v1\ncost 1 -1 3\nend\n");        // mpb bytes wrap
+}
+
+TEST(VulnPlanText, ErrorsNameTheLineFieldAndValue) {
+  try {
+    (void)plan_from_text("vuln-plan v1\nbudget 2\ncost 1 -1 3\nend\n");
+    FAIL() << "negative mpb bytes accepted";
+  } catch (const util::ContractViolation& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("mpb_bytes"), std::string::npos) << what;
+    EXPECT_NE(what.find("'-1'"), std::string::npos) << what;
+  }
+}
+
+TEST(VulnPlanText, ResidualKeepsSeventeenSignificantDigits) {
+  // Bytes of the format as stored plans carry them: "%.17g", not the
+  // shortest round-trip form ("0.3333333333333333", "1e-05").
+  ProtectionPlan plan;
+  plan.budget_extra_cores = 2;
+  plan.protection = {1, 3};
+  plan.total_cost = ft::ReplicationCost{4, 2048, 8};
+  plan.residual_vulnerability = 1.0 / 3;
+  EXPECT_EQ(to_text(plan),
+            "vuln-plan v1\nbudget 2\ncost 4 2048 8\nresidual 0.33333333333333331\n"
+            "protection 1 3\nend\n");
+  plan.residual_vulnerability = 1e-05;
+  EXPECT_EQ(to_text(plan),
+            "vuln-plan v1\nbudget 2\ncost 4 2048 8\nresidual 1.0000000000000001e-05\n"
+            "protection 1 3\nend\n");
 }
 
 // ---------------------------------------------------------------------------
