@@ -141,10 +141,9 @@ struct ExperimentResult {
 
   std::uint64_t noc_contention_stalls = 0;
 
-  /// Simulator events dispatched over the whole run — the kernel-throughput
-  /// denominator (bench/throughput) and the determinism fingerprint
-  /// (tests/fingerprint_test): any event-count drift means the schedule
-  /// changed.
+  /// Simulator events dispatched over the whole run — the determinism
+  /// fingerprint (tests/fingerprint_test): any event-count drift means the
+  /// schedule changed.
   std::uint64_t events_processed = 0;
 
   /// Online-RTC results, one entry per monitored stream (producer, r1.out,

@@ -77,11 +77,17 @@ FailureArtifact parse_artifact(const std::string& text) {
       control.scrubber = in.i64("scrubber", 0, 1) == 1;
       control.heartbeat_period = in.i64("heartbeat_ns", 0);
       control.watchdog_deadline = in.i64("deadline_ns", 0);
+      in.check(!(control.enabled && control.watchdog) || control.watchdog_deadline > 0,
+               "must be positive when the watchdog is armed");
       control.scrub_period = in.i64("scrub_ns", 0);
+      in.check(!(control.enabled && control.scrubber) || control.scrub_period > 0,
+               "must be positive when the scrubber runs");
     } else if (tag == "reconfigure") {
       ReconfigOptions& reconfig = artifact.reconfig;
       reconfig.enabled = in.i64("enabled", 0, 1) == 1;
       reconfig.period = in.i64("period_ns", 0);
+      in.check(!reconfig.enabled || reconfig.period > 0,
+               "must be positive when resizing is enabled");
       reconfig.quiesce_window = in.i64("quiesce_ns", 0);
       reconfig.grow = in.i64("grow", 0);
     } else if (tag == "protection") {

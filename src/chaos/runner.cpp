@@ -97,6 +97,21 @@ void check_rig(const StormPlan& plan, const RunOptions& options) {
   };
   const auto rig = [n] { return "the unsupervised nreplica " + std::to_string(n) + " rig"; };
   if (n < 2) reject("nreplica must be >= 2, got " + std::to_string(n));
+  // A zero period would re-arm its timer at the same instant forever (resize
+  // ticks) or trip the defense's own constructor precondition.
+  const ControlPlaneOptions& cp = options.control_plane;
+  if (cp.enabled && cp.watchdog && cp.watchdog_deadline <= 0) {
+    reject("the armed watchdog needs a positive deadline, got " +
+           std::to_string(cp.watchdog_deadline) + " ns");
+  }
+  if (cp.enabled && cp.scrubber && cp.scrub_period <= 0) {
+    reject("the running scrubber needs a positive period, got " +
+           std::to_string(cp.scrub_period) + " ns");
+  }
+  if (options.reconfig.enabled && options.reconfig.period <= 0) {
+    reject("reconfiguration windows need a positive period, got " +
+           std::to_string(options.reconfig.period) + " ns");
+  }
   if (n > 2) {
     if (options.control_plane.enabled) reject(rig() + " has no control plane to arm");
     if (options.reconfig.enabled) reject(rig() + " cannot open reconfiguration windows");

@@ -67,10 +67,11 @@ struct ControlPlaneOptions {
   rtc::TimeNs heartbeat_period = rtc::from_ms(25.0);
   /// Watchdog deadline: must exceed every benign kick gap of the rig
   /// (rate-degraded emission stretches to ~60 ms, intermittent silence
-  /// bursts to ~90 ms), so only genuine hangs trip it.
+  /// bursts to ~90 ms), so only genuine hangs trip it. Positive when armed.
   rtc::TimeNs watchdog_deadline = rtc::from_ms(120.0);
   /// Scrub period: far below the storm generator's 40-80 ms flip period, so
   /// a second flip cannot land on a word before the first is repaired.
+  /// Positive when the scrubber runs.
   rtc::TimeNs scrub_period = rtc::from_ms(5.0);
 };
 
@@ -85,7 +86,7 @@ struct ControlPlaneOptions {
 /// run_golden takes them).
 struct ReconfigOptions {
   bool enabled = false;
-  rtc::TimeNs period = kReconfigPeriodNs;
+  rtc::TimeNs period = kReconfigPeriodNs;  ///< positive when enabled
   rtc::TimeNs quiesce_window = kReconfigWindowNs;
   rtc::Tokens grow = 8;
 };

@@ -16,7 +16,8 @@
 // and because its only input is the kEmission data-path event (emitted via
 // the SCCFT_TRACE macro) it receives *no events at all* when the build
 // defines SCCFT_TRACE_COMPILED_OUT — the zero-cost discipline doubles as a
-// zero-function guarantee, which the micro_overhead gate pins down.
+// zero-function guarantee, which OnlineExperiment.ConformantRunHasNoViolations
+// pins down.
 //
 // Every stream's estimator is advanced on *every* tracked emission (not just
 // its own): a starving stream's lower-curve minima are witnessed by the

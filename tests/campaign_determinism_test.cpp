@@ -8,9 +8,11 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/adpcm/app.hpp"
+#include "apps/mjpeg/app.hpp"
 #include "apps/common/experiment.hpp"
 #include "bench/campaign.hpp"
 #include "util/assert.hpp"
@@ -156,28 +158,30 @@ apps::ExperimentOptions campaign_options() {
 }
 
 TEST(CampaignDeterminism, FaultCampaignIdenticalAcrossJobCounts) {
-  apps::ExperimentRunner runner(apps::adpcm::make_application());
-  const auto serial = bench::run_fault_campaign(
-      runner, campaign_options(), ft::ReplicaIndex::kReplica1, 6, 1);
-  for (const int jobs : {2, 4}) {
-    const auto parallel = bench::run_fault_campaign(
-        runner, campaign_options(), ft::ReplicaIndex::kReplica1, 6, jobs);
-    EXPECT_EQ(parallel.seeds, serial.seeds) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.detected, serial.detected) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.correct_replica, serial.correct_replica) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.false_positives, serial.false_positives) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.first_latency_ms.samples(), serial.first_latency_ms.samples())
-        << "jobs=" << jobs;
-    EXPECT_EQ(parallel.replicator_latency_ms.samples(),
-              serial.replicator_latency_ms.samples())
-        << "jobs=" << jobs;
-    EXPECT_EQ(parallel.selector_latency_ms.samples(),
-              serial.selector_latency_ms.samples())
-        << "jobs=" << jobs;
-    // The merged registry is the source of every table/CSV number: its
-    // rendered form must match byte for byte.
-    EXPECT_EQ(parallel.merged.render_csv(), serial.merged.render_csv())
-        << "jobs=" << jobs;
+  // ADPCM, and MJPEG: the Table 2 reference application.
+  for (apps::ApplicationSpec spec :
+       {apps::adpcm::make_application(), apps::mjpeg::make_application()}) {
+    const std::string app = spec.name;
+    apps::ExperimentRunner runner(std::move(spec));
+    const auto serial = bench::run_fault_campaign(
+        runner, campaign_options(), ft::ReplicaIndex::kReplica1, 6, 1);
+    for (const int jobs : {2, 4}) {
+      const auto parallel = bench::run_fault_campaign(
+          runner, campaign_options(), ft::ReplicaIndex::kReplica1, 6, jobs);
+      SCOPED_TRACE(app + " jobs=" + std::to_string(jobs));
+      EXPECT_EQ(parallel.seeds, serial.seeds);
+      EXPECT_EQ(parallel.detected, serial.detected);
+      EXPECT_EQ(parallel.correct_replica, serial.correct_replica);
+      EXPECT_EQ(parallel.false_positives, serial.false_positives);
+      EXPECT_EQ(parallel.first_latency_ms.samples(), serial.first_latency_ms.samples());
+      EXPECT_EQ(parallel.replicator_latency_ms.samples(),
+                serial.replicator_latency_ms.samples());
+      EXPECT_EQ(parallel.selector_latency_ms.samples(),
+                serial.selector_latency_ms.samples());
+      // The merged registry is the source of every table/CSV number: its
+      // rendered form must match byte for byte.
+      EXPECT_EQ(parallel.merged.render_csv(), serial.merged.render_csv());
+    }
   }
 }
 

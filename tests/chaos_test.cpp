@@ -311,6 +311,27 @@ TEST(Runner, RejectsNonDataPathKindsAtThreeReplicas) {
   }
 }
 
+TEST(Runner, RejectsZeroPeriodsOfEnabledDefenses) {
+  // A zero resize period used to spin at one simulated instant forever; a
+  // zero watchdog deadline or scrub period aborted in the defense's
+  // constructor without naming the option.
+  RunOptions resize;
+  resize.reconfig.enabled = true;
+  resize.reconfig.period = 0;
+  expect_rejected(plan_with({}), resize,
+                  "reconfiguration windows need a positive period, got 0 ns");
+  RunOptions watchdog;
+  watchdog.control_plane.enabled = true;
+  watchdog.control_plane.watchdog_deadline = 0;
+  expect_rejected(plan_with({}), watchdog,
+                  "the armed watchdog needs a positive deadline, got 0 ns");
+  RunOptions scrubber;
+  scrubber.control_plane.enabled = true;
+  scrubber.control_plane.scrub_period = 0;
+  expect_rejected(plan_with({}), scrubber,
+                  "the running scrubber needs a positive period, got 0 ns");
+}
+
 // ---------------------------------------------------------------------------
 // Regressions: bugs found BY the chaos soak (kept as exact reproducers)
 // ---------------------------------------------------------------------------
@@ -539,6 +560,11 @@ TEST(Artifact, MalformedInputThrows) {
       // A u64 that wraps to a negative heartbeat period / resize step.
       with_line("control-plane", "control-plane 1 1 1 18446744073709551615 1 1"),
       with_line("reconfigure", "reconfigure 1 1 1 18446744073709551615"),
+      // Zero periods of an enabled defense: the resize tick would re-arm at
+      // one instant forever, the watchdog and scrubber refuse to construct.
+      with_line("reconfigure", "reconfigure 1 0 2000000 8"),
+      with_line("control-plane", "control-plane 1 1 0 25000000 0 5000000"),
+      with_line("control-plane", "control-plane 1 0 1 25000000 120000000 0"),
   };
   for (const std::string& text : bad) {
     EXPECT_THROW((void)parse_artifact(text), util::ContractViolation)

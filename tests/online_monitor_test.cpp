@@ -467,6 +467,15 @@ TEST(OnlineExperiment, ConformantRunHasNoViolations) {
     EXPECT_EQ(stream.lower_violations, 0u) << stream.name;
     EXPECT_FALSE(stream.first_violation.has_value()) << stream.name;
   }
+
+  // The monitor is a pure observer: switching it off leaves the output
+  // stream and the whole simulated schedule unchanged.
+  auto off = drift_options();
+  off.online_monitor = false;
+  const auto unmonitored = runner.run(off);
+  EXPECT_TRUE(unmonitored.online_streams.empty());
+  EXPECT_EQ(unmonitored.output_checksums, result.output_checksums);
+  EXPECT_EQ(unmonitored.events_processed, result.events_processed);
 }
 
 #ifndef SCCFT_TRACE_COMPILED_OUT

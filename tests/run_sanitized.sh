@@ -40,8 +40,9 @@ esac
 
 cmake -B "${build_dir}" -S "${repo_root}" ${sanitize_flags}
 cmake --build "${build_dir}" -j "$(nproc)"
-# -LE bench: the wall-time gates (e.g. micro_overhead's 2% trace-overhead
-# budget) are meaningless under sanitizer instrumentation.
+# -LE bench skips the bench-sized smoke runs; the soaks below drive the same
+# paths at sizes that suit instrumentation. Every `unit` test runs, the
+# sccft_bench count pin (tests/bench_counts.cmake) included.
 ctest --test-dir "${build_dir}" -j "$(nproc)" --output-on-failure -LE bench
 # Drive the parallel campaign path (worker pool, per-thread log capture,
 # synchronized memoization caches) under the sanitizer: data races on the

@@ -4,6 +4,7 @@
 // contract-violation dump.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -88,6 +89,41 @@ TEST(TraceBus, DispatchRunsSinksInSubscriptionOrder) {
   EXPECT_EQ(log[0].first, 2);
   bus.unsubscribe(&first);
   bus.unsubscribe(&second);
+}
+
+/// Counts on_batch calls and records each delivered event's `a` field.
+class BatchCountingSink final : public Sink {
+ public:
+  void on_event(const Event& event) override { delivered.push_back(event.a); }
+  void on_batch(const Event* events, std::size_t count) override {
+    ++batches;
+    for (std::size_t i = 0; i < count; ++i) on_event(events[i]);
+  }
+  std::vector<std::int64_t> delivered;
+  std::size_t batches = 0;
+};
+
+TEST(TraceBus, DeferredEmitsArriveOnceEachInStagedBatches) {
+  // The bus stages deferred events 1024 at a time (its private
+  // kStagingCapacity): N emits reach the subscriber exactly once each, in
+  // order, in one batch per full staging buffer plus the tail flushed on
+  // unsubscribe.
+  constexpr std::size_t kStaging = 1024;
+  constexpr std::int64_t kEmits = 5000;
+  TraceBus bus;
+  BatchCountingSink sink;
+  bus.subscribe(&sink, kFlightRecorderMask, DeliveryMode::kDeferred);
+  const SubjectId subject = bus.intern("bench");
+  for (std::int64_t i = 0; i < kEmits; ++i) {
+    bus.emit(EventKind::kEnqueue, subject, i, i);
+  }
+  bus.unsubscribe(&sink);
+
+  ASSERT_EQ(sink.delivered.size(), static_cast<std::size_t>(kEmits));
+  for (std::int64_t i = 0; i < kEmits; ++i) {
+    ASSERT_EQ(sink.delivered[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_LE(sink.batches, (kEmits + kStaging - 1) / kStaging + 1);
 }
 
 TEST(RingBufferSink, KeepsTheLastCapacityEventsAndCountsDrops) {

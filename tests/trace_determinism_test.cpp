@@ -5,6 +5,8 @@
 // effect — the same guarantee a SCCFT_TRACE_COMPILED_OUT build relies on).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "apps/mjpeg/app.hpp"
 #include "apps/common/experiment.hpp"
 #include "trace/sinks.hpp"
@@ -66,23 +68,35 @@ TEST(TraceDeterminism, AttachingSinksDoesNotPerturbResults) {
   ExperimentOptions options = fault_options(7);
   const auto untraced = runner.run(options);
 
+  // Two observer configurations: every event into a byte stream, and the
+  // flight recorder (the ring at kFlightRecorderMask, everything but the
+  // scheduler firehose) on the bus's batched path.
   trace::BinarySink stream;
   trace::RingBufferSink ring(512);
-  options.trace_sink = &stream;
-  const auto traced = runner.run(options);
+  const std::pair<trace::Sink*, std::uint32_t> observers[] = {
+      {&stream, trace::kAllEvents}, {&ring, trace::kFlightRecorderMask}};
+  for (const auto& [sink, mask] : observers) {
+    options.trace_sink = sink;
+    options.trace_mask = mask;
+    const auto traced = runner.run(options);
 
-  // Everything Table 2 reads must be identical with and without observers —
-  // the compiled-out build (SCCFT_TRACE_COMPILED_OUT) leans on exactly this.
-  EXPECT_EQ(untraced.output_checksums, traced.output_checksums);
-  EXPECT_EQ(untraced.fill_r1, traced.fill_r1);
-  EXPECT_EQ(untraced.fill_r2, traced.fill_r2);
-  EXPECT_EQ(untraced.fill_s1, traced.fill_s1);
-  EXPECT_EQ(untraced.fill_s2, traced.fill_s2);
-  EXPECT_EQ(untraced.consumer_tokens, traced.consumer_tokens);
-  EXPECT_EQ(untraced.consumer_stalls, traced.consumer_stalls);
-  EXPECT_EQ(untraced.replicator_latency, traced.replicator_latency);
-  EXPECT_EQ(untraced.selector_latency, traced.selector_latency);
-  EXPECT_EQ(untraced.metrics->render_csv(), traced.metrics->render_csv());
+    // Everything Table 2 reads must be identical with and without observers
+    // — the compiled-out build (SCCFT_TRACE_COMPILED_OUT) leans on exactly
+    // this — and so must the schedule itself.
+    EXPECT_EQ(untraced.output_checksums, traced.output_checksums);
+    EXPECT_EQ(untraced.events_processed, traced.events_processed);
+    EXPECT_EQ(untraced.fill_r1, traced.fill_r1);
+    EXPECT_EQ(untraced.fill_r2, traced.fill_r2);
+    EXPECT_EQ(untraced.fill_s1, traced.fill_s1);
+    EXPECT_EQ(untraced.fill_s2, traced.fill_s2);
+    EXPECT_EQ(untraced.consumer_tokens, traced.consumer_tokens);
+    EXPECT_EQ(untraced.consumer_stalls, traced.consumer_stalls);
+    EXPECT_EQ(untraced.replicator_latency, traced.replicator_latency);
+    EXPECT_EQ(untraced.selector_latency, traced.selector_latency);
+    EXPECT_EQ(untraced.metrics->render_csv(), traced.metrics->render_csv());
+  }
+  EXPECT_GT(stream.event_count(), 0u);
+  EXPECT_GT(ring.total_events(), 0u);
 }
 
 }  // namespace
